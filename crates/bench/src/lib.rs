@@ -16,9 +16,9 @@
 //! reproduce the paper-scale runs.
 
 pub use harness::{
-    run_scenario, run_service_scenario, scenarios, AdaptiveCacheConfig, AdvisorSpec, CachePolicy,
-    CellReport, CellSpec, FeedbackSpec, RunReport, ScenarioContext, ScenarioSpec,
-    ServiceScenarioSpec, ServiceSessionSpec, ServiceSummary,
+    run_scenario, run_service_scenario, scenarios, AdvisorSpec, CellReport, CellSpec, FeedbackSpec,
+    RunReport, ScenarioContext, ScenarioSpec, ServiceScenarioSpec, ServiceSessionSpec,
+    ServiceSummary,
 };
 
 /// Statements per phase for a bench run: the `WFIT_PHASE_LEN` override, or
@@ -75,7 +75,7 @@ pub fn summary_line(cell: &CellReport) -> String {
 
 /// Merge one arm's headline service metrics into
 /// `target/bench-reports/BENCH_service.json`, keyed by `arm` (e.g.
-/// `clock-static` vs `arc-adaptive`).  Each bench invocation replaces its
+/// `static` vs `epoch`).  Each bench invocation replaces its
 /// own arm and leaves the others in place, so CI can run the service bench
 /// once per configuration and upload a single side-by-side artifact; arms
 /// are kept key-sorted so the file is deterministic for a given set of
@@ -96,11 +96,9 @@ pub fn write_service_bench_report(arm: &str, service: &ServiceSummary) -> std::p
         arm.to_string(),
         Json::obj(vec![
             ("events_per_sec", Json::Num(service.events_per_sec)),
-            ("cache_hit_rate", Json::Num(service.cache_hit_rate)),
+            ("whatif_requests", Json::Num(service.cache_requests as f64)),
             ("latency_p99_us", Json::Num(service.latency_p99_us as f64)),
             ("load_imbalance", Json::Num(service.load_imbalance)),
-            ("ghost_hits", Json::Num(service.ghost_hits as f64)),
-            ("capacity_final", Json::Num(service.capacity_final as f64)),
             ("epochs", Json::Num(service.epochs as f64)),
             ("replans", Json::Num(service.replans as f64)),
         ]),

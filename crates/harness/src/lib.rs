@@ -21,33 +21,30 @@
 //!   interleaving never changes a reported metric.  Identical specs render
 //!   byte-identical [`RunReport::to_json`] output.
 //! * **Offline-friendly JSON.** The vendored `serde` stub cannot serialize,
-//!   so the [`json`] module provides a small deterministic writer/parser and
+//!   so [`wfit_core::json`] provides a small deterministic writer/parser and
 //!   a tolerance-aware diff for golden files.
 //!
 //! The canonical scenarios (the paper's Figures 8–12, overhead, ablations,
 //! and the miniature golden variants) live in [`scenarios`].  Multi-tenant
 //! **service** scenarios — many workload streams pushed through
-//! [`service::TuningService`] with shared per-tenant what-if caches — live
+//! [`service::TuningService`] with per-session what-if counters — live
 //! in [`service_run`] and report through the same [`RunReport`] (plus a
 //! [`report::ServiceSummary`] block).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod json;
 pub mod report;
 pub mod runner;
 pub mod scenarios;
 pub mod service_run;
 pub mod spec;
 
-pub use json::Json;
 pub use report::{CellReport, RunReport, ServiceSummary};
 pub use runner::{run_scenario, ScenarioContext};
-pub use service::AdaptiveCacheConfig;
 pub use service_run::{
     run_service_control, run_service_scenario, run_service_scenario_traced, ServiceEventKind,
     ServiceScenarioSpec, ServiceSessionSpec, ServiceTrace,
 };
-pub use simdb::cache::CachePolicy;
 pub use spec::{AcceptanceSpec, AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};
+pub use wfit_core::json::Json;

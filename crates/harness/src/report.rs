@@ -9,7 +9,7 @@
 //! [`RunReport::to_json_with_timing`] when wall-clock numbers are wanted,
 //! e.g. for CI artifacts).
 
-use crate::json::{diff_with_tolerance, Json};
+use wfit_core::json::{diff_with_tolerance, Json};
 
 /// Metrics of one (advisor × options) cell.
 #[derive(Debug, Clone)]
@@ -95,7 +95,7 @@ impl CellReport {
 /// Service-level metrics of a multi-tenant run (present only for scenarios
 /// replayed through `crates/service`).
 ///
-/// The event counts and cache counters are deterministic and belong to the
+/// The event counts and overhead counters are deterministic and belong to the
 /// golden-file JSON; the throughput and latency numbers are wall-clock
 /// derived and only appear in [`RunReport::to_json_with_timing`].
 #[derive(Debug, Clone, Default)]
@@ -108,17 +108,9 @@ pub struct ServiceSummary {
     pub query_events: u64,
     /// DBA-feedback (vote) events processed.
     pub vote_events: u64,
-    /// What-if requests against the tenants' shared caches (summed).
+    /// What-if requests issued by all sessions (summed; every request runs
+    /// the optimizer — the service keeps no cost memo).
     pub cache_requests: u64,
-    /// Requests answered from a shared cache (summed).
-    pub cache_hits: u64,
-    /// `cache_hits / cache_requests` (0.0 when no request was made).
-    pub cache_hit_rate: f64,
-    /// Entries evicted to honor the shared caches' capacity bounds (summed;
-    /// 0 for unbounded runs).
-    pub cache_evictions: u64,
-    /// Entries resident in the shared caches at the end of the run (summed).
-    pub cache_entries: u64,
     /// Index benefit graphs built by the tenants' IBG stores (summed; 0 when
     /// IBG sharing is off — sessions then build their own graphs, which are
     /// not counted here).
@@ -169,14 +161,6 @@ pub struct ServiceSummary {
     /// to the same log, so this total is identical whether or not the run
     /// was interrupted — which is what lets it live in the golden files.
     pub wal_rounds: u64,
-    /// ARC ghost-list hits across the tenants' shared caches (summed; 0 for
-    /// CLOCK and unbounded caches) — the "evicted too early" signal the
-    /// working-set controller feeds on.
-    pub ghost_hits: u64,
-    /// Summed live capacity of the tenants' bounded caches at the end of
-    /// the run — under adaptation this is the controller's final verdict;
-    /// static runs echo the configured capacities.
-    pub capacity_final: u64,
     /// Epoch segments executed by the scheduler (0 with epochs off).
     pub epochs: u64,
     /// Mid-round re-plans (epoch segments beyond each round's first; 0 with
@@ -205,10 +189,6 @@ impl ServiceSummary {
             ("query_events", Json::Num(self.query_events as f64)),
             ("vote_events", Json::Num(self.vote_events as f64)),
             ("cache_requests", Json::Num(self.cache_requests as f64)),
-            ("cache_hits", Json::Num(self.cache_hits as f64)),
-            ("cache_hit_rate", Json::Num(self.cache_hit_rate)),
-            ("cache_evictions", Json::Num(self.cache_evictions as f64)),
-            ("cache_entries", Json::Num(self.cache_entries as f64)),
             ("ibg_builds", Json::Num(self.ibg_builds as f64)),
             ("ibg_reuses", Json::Num(self.ibg_reuses as f64)),
             ("workers", Json::Num(self.workers as f64)),
@@ -226,8 +206,6 @@ impl ServiceSummary {
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("persist", Json::Bool(self.persist)),
             ("wal_rounds", Json::Num(self.wal_rounds as f64)),
-            ("ghost_hits", Json::Num(self.ghost_hits as f64)),
-            ("capacity_final", Json::Num(self.capacity_final as f64)),
             ("epochs", Json::Num(self.epochs as f64)),
             ("replans", Json::Num(self.replans as f64)),
         ];
@@ -412,10 +390,6 @@ mod tests {
             query_events: 96,
             vote_events: 6,
             cache_requests: 1000,
-            cache_hits: 700,
-            cache_hit_rate: 0.7,
-            cache_evictions: 42,
-            cache_entries: 64,
             ibg_builds: 12,
             ibg_reuses: 24,
             workers: 4,
@@ -433,8 +407,6 @@ mod tests {
             peak_pending: 20,
             persist: true,
             wal_rounds: 17,
-            ghost_hits: 31,
-            capacity_final: 96,
             epochs: 5,
             replans: 4,
             events_per_sec: 123.4,
@@ -444,10 +416,9 @@ mod tests {
             tenant_latency_p99_us: vec![40, 60, 50],
         });
         let stable = r.to_json();
-        assert!(stable.contains("cache_hit_rate"));
-        // Eviction, IBG-store and scheduler counters are deterministic and
+        // What-if, IBG-store and scheduler counters are deterministic and
         // belong to the golden rendering.
-        assert!(stable.contains("cache_evictions") && stable.contains("ibg_reuses"));
+        assert!(stable.contains("\"cache_requests\": 1000") && stable.contains("ibg_reuses"));
         assert!(stable.contains("stolen_runs") && stable.contains("load_imbalance"));
         assert!(stable.contains("\"steal\": true"));
         // Admission-gate counters are pure functions of submission order and
@@ -457,9 +428,8 @@ mod tests {
         // Persistence counters are deterministic (the WAL-round total is the
         // same whether or not the run was interrupted mid-way).
         assert!(stable.contains("\"persist\": true") && stable.contains("wal_rounds"));
-        // Adaptive-control counters (ARC ghosts, controller verdict, epoch
-        // ledger) are pure functions of the event sequence — golden too.
-        assert!(stable.contains("\"ghost_hits\": 31") && stable.contains("\"capacity_final\": 96"));
+        // The epoch ledger is a pure function of the event sequence —
+        // golden too.
         assert!(stable.contains("\"epochs\": 5") && stable.contains("\"replans\": 4"));
         // Wall-clock service metrics never reach the golden-file rendering.
         assert!(!stable.contains("events_per_sec"));

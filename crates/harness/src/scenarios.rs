@@ -9,8 +9,6 @@
 
 use crate::service_run::{ServiceScenarioSpec, ServiceSessionSpec};
 use crate::spec::{AdvisorSpec, CellSpec, FeedbackEvent, FeedbackSpec, ScenarioSpec};
-use service::AdaptiveCacheConfig;
-use simdb::cache::CachePolicy;
 use wfit_core::config::WfitConfig;
 use workload::{Dataset, PhaseSpec};
 
@@ -305,8 +303,8 @@ pub fn bandit_htap_mini() -> ScenarioSpec {
 }
 
 /// The multi-tenant service throughput scenario: `tenants` independent
-/// workload streams, each served by a WFIT-500 / WFIT-IND / BC session fleet
-/// over a shared per-tenant what-if cache, with periodic DBA votes.  This is
+/// workload streams, each served by a WFIT-500 / WFIT-IND / BC session fleet,
+/// with periodic DBA votes.  This is
 /// the hot path the service layer exists for — use
 /// [`crate::run_service_scenario`] to replay it.
 pub fn service_throughput(tenants: usize, statements_per_phase: usize) -> ServiceScenarioSpec {
@@ -315,30 +313,22 @@ pub fn service_throughput(tenants: usize, statements_per_phase: usize) -> Servic
 }
 
 /// Miniature service scenario for the golden suite: three tenants, the full
-/// fleet, shared caches, scheduled votes; small enough for tier-1 test time.
+/// fleet, scheduled votes; small enough for tier-1 test time.
 pub fn service_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-mini", 3, MINI_PHASE_LEN).with_feedback_every(16)
 }
 
-/// Shared-cache capacity of [`service_evict_mini`]: deliberately far below
-/// the scenario's working set (the unbounded run of the same workload keeps
-/// several hundred entries per tenant resident), so the CLOCK sweep must
-/// evict continuously and the golden snapshot pins the eviction counters.
-pub const EVICT_MINI_CACHE_CAPACITY: usize = 48;
-
 /// Query-batch size of [`service_evict_mini`].
 pub const EVICT_MINI_BATCH_SIZE: usize = 4;
 
-/// Miniature *bounded* service scenario for the golden suite: the
-/// [`service_mini`] workload with each tenant's cache capacity forced below
-/// its working set, query batching, and cross-session IBG reuse — the
-/// hot-path configuration.  Costs must match [`service_mini`] exactly (the
-/// knobs may only change overhead counters); the golden snapshot
-/// additionally pins hit rate, eviction count and IBG reuse counters.
+/// Miniature *hot-path* service scenario for the golden suite: the
+/// [`service_mini`] workload with query batching and cross-session IBG
+/// reuse.  Costs must match [`service_mini`] exactly (the knobs may only
+/// change overhead counters); the golden snapshot additionally pins the
+/// what-if request total and the IBG reuse counters.
 pub fn service_evict_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-evict-mini", 3, MINI_PHASE_LEN)
         .with_feedback_every(16)
-        .with_cache_capacity(EVICT_MINI_CACHE_CAPACITY)
         .with_batch_size(EVICT_MINI_BATCH_SIZE)
         .with_ibg_reuse(true)
 }
@@ -361,11 +351,11 @@ pub fn service_skewed(tenants: usize, statements_per_phase: usize) -> ServiceSce
 }
 
 /// Miniature skewed scenario for the golden suite: three tenants (one hot at
-/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, stealing on.  The
-/// shared cache is disabled: concurrently-executing stolen session-runs
-/// would race on the hit/miss split, and the golden's purpose is to pin the
-/// metrics that *are* deterministic under stealing — every cost cell, the
-/// steal counters and the fairness/queue-depth numbers.
+/// [`SKEW_FACTOR`]×), a two-session fleet, four workers, stealing on.  IBG
+/// reuse stays off: concurrently-executing stolen session-runs would race
+/// on the build/reuse split, and the golden's purpose is to pin the metrics
+/// that *are* deterministic under stealing — every cost cell, the what-if
+/// total, the steal counters and the fairness/queue-depth numbers.
 pub fn service_skew_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-skew-mini", 3, 2)
         .with_sessions(vec![
@@ -373,7 +363,6 @@ pub fn service_skew_mini() -> ServiceScenarioSpec {
             ServiceSessionSpec::Bc,
         ])
         .with_feedback_every(8)
-        .with_shared_cache(false)
         .with_skew(SKEW_FACTOR)
         .with_workers(4)
         .with_steal(true)
@@ -413,66 +402,36 @@ pub fn service_overload_mini() -> ServiceScenarioSpec {
         .with_offered_multiplier(OVERLOAD_MINI_OFFERED)
 }
 
-/// Initial per-tenant cache capacity of [`service_adversarial_skew`]:
-/// deliberately far below the hot tenants' working sets, so a static cache
-/// thrashes and the working-set controller has evidence to grow on.
-pub const ADVERSARIAL_CACHE_CAPACITY: usize = 16;
-
-/// Global cache-memory budget of [`service_adversarial_skew`]: enough for
-/// the controller to grow the hot tenants several times over, but a hard
-/// ceiling the golden pins (`capacity_final ≤` this).
-pub const ADVERSARIAL_CACHE_BUDGET: usize = 768;
-
-/// Capacity floor of the adaptive arm's [`AdaptiveCacheConfig`]: the
-/// controller jumpstarts every tenant from the undersized
-/// [`ADVERSARIAL_CACHE_CAPACITY`] straight to this floor at the first
-/// round boundary, then grows on eviction/ghost-hit evidence.  The floor
-/// must be big enough that a session-run moved to a *later* epoch segment
-/// still finds the earlier segment's what-if fills resident — that is what
-/// lets the adaptive arm win hit rate and load balance at the same time.
-pub const ADVERSARIAL_MIN_CAPACITY: usize = 128;
-
 /// Epoch cadence of [`service_adversarial_skew`]: cut a scheduling epoch
 /// every this-many completed session-runs.  With three tenants running a
 /// three-session fleet (nine session-runs a round), cadence four yields
 /// three segments whose weight quota splits each hot tenant's runs 2 + 1:
-/// two runs stay co-located (preserving their batch-major cache sharing)
-/// while the third re-plans onto the other worker and flattens the round.
-/// A finer cadence would separate *all* runs and thrash the shared cache;
-/// a coarser one would let a single quota chunk lump the whole tenant back
-/// onto one worker, reproducing the one-shot imbalance.
+/// two runs stay co-located while the third re-plans onto the other worker
+/// and flattens the round.  A coarser cadence would let a single quota
+/// chunk lump the whole tenant back onto one worker, reproducing the
+/// one-shot imbalance.
 pub const ADVERSARIAL_EPOCH_RUNS: usize = 4;
 
 /// Miniature *adversarial* self-tuning scenario for the golden suite: the
 /// hot spot migrates from tenant 0 to the last tenant mid-run
-/// ([`ServiceScenarioSpec::hot_flip`]) and both hot tenants replay a
-/// cache-flushing scan burst, against deliberately undersized
-/// ([`ADVERSARIAL_CACHE_CAPACITY`]) caches.  The golden arm runs the full
-/// adaptive stack — scan-resistant ARC policy, working-set capacity
-/// controller under [`ADVERSARIAL_CACHE_BUDGET`], epoch re-planning every
-/// [`ADVERSARIAL_EPOCH_RUNS`] completed session-runs — and the golden
-/// snapshot pins its `ghost_hits`, `capacity_final`, `epochs` and
-/// `replans`.  `tests/scenarios.rs` additionally replays the static
-/// control arm ([`service_adversarial_skew_control`]) and asserts every
-/// advisor cost cell is bit-equal while hit rate and `load_imbalance`
-/// strictly improve under adaptation.
+/// ([`ServiceScenarioSpec::hot_flip`]) and both hot tenants replay a scan
+/// burst.  The golden arm re-plans at epoch boundaries every
+/// [`ADVERSARIAL_EPOCH_RUNS`] completed session-runs, and the golden
+/// snapshot pins its `epochs` and `replans`.  `tests/scenarios.rs`
+/// additionally replays the static control arm
+/// ([`service_adversarial_skew_control`]) and asserts every advisor cost
+/// cell is bit-equal while `load_imbalance` strictly improves under
+/// re-planning.
 pub fn service_adversarial_skew() -> ServiceScenarioSpec {
     service_adversarial_skew_control()
-        .with_cache_policy(CachePolicy::Arc)
-        .with_adaptive_cache(AdaptiveCacheConfig {
-            min_capacity: ADVERSARIAL_MIN_CAPACITY,
-            ..AdaptiveCacheConfig::default()
-        })
-        .with_cache_budget(ADVERSARIAL_CACHE_BUDGET)
         .with_epoch_runs(ADVERSARIAL_EPOCH_RUNS)
         .with_name("service-adversarial-skew")
 }
 
 /// The static control arm of [`service_adversarial_skew`]: identical
-/// workload, fleet and hot-flip schedule, but CLOCK caches at fixed
-/// capacity and one-shot round planning — the baseline the adaptive arm
-/// must strictly beat on hit rate and `load_imbalance` while reproducing
-/// its cost cells bit-for-bit.
+/// workload, fleet and hot-flip schedule, but one-shot round planning —
+/// the baseline the re-planning arm must strictly beat on
+/// `load_imbalance` while reproducing its cost cells bit-for-bit.
 pub fn service_adversarial_skew_control() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-adversarial-skew-control", 3, 2)
         .with_sessions(vec![
@@ -483,7 +442,6 @@ pub fn service_adversarial_skew_control() -> ServiceScenarioSpec {
         .with_feedback_every(8)
         .with_skew(SKEW_FACTOR)
         .with_workers(2)
-        .with_cache_capacity(ADVERSARIAL_CACHE_CAPACITY)
         .with_hot_flip(true)
 }
 
@@ -500,8 +458,8 @@ pub const RESTORE_MINI_CRASH_WAVE: usize = 4;
 /// snapshot is produced by the uninterrupted run; `tests/scenarios.rs`
 /// additionally replays the same spec with a kill-and-restore at
 /// [`RESTORE_MINI_CRASH_WAVE`] and asserts the recovered run renders the
-/// byte-identical report — cost cells, cache counters, WAL-round total and
-/// all.
+/// byte-identical report — cost cells, what-if counters, WAL-round total
+/// and all.
 pub fn service_restore_mini() -> ServiceScenarioSpec {
     ServiceScenarioSpec::new("service-restore-mini", 2, MINI_PHASE_LEN)
         .with_sessions(vec![
@@ -587,11 +545,9 @@ mod tests {
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.statements_per_phase, MINI_PHASE_LEN);
         assert_eq!(mini.sessions.len(), 3);
-        assert!(mini.shared_cache);
         assert_eq!(mini.feedback_every, 16);
-        // The defaults keep the historical hot path: unbounded cache, no
-        // batching, no IBG sharing.
-        assert_eq!(mini.cache_capacity, 0);
+        // The defaults keep the historical hot path: no batching, no IBG
+        // sharing.
         assert_eq!(mini.batch_size, 1);
         assert!(!mini.ibg_reuse);
         // The evict variant differs from service-mini only in the hot-path
@@ -600,9 +556,8 @@ mod tests {
         assert_eq!(evict.tenants, mini.tenants);
         assert_eq!(evict.seed, mini.seed);
         assert_eq!(evict.feedback_every, mini.feedback_every);
-        assert_eq!(evict.cache_capacity, EVICT_MINI_CACHE_CAPACITY);
         assert_eq!(evict.batch_size, EVICT_MINI_BATCH_SIZE);
-        assert!(evict.ibg_reuse && evict.shared_cache);
+        assert!(evict.ibg_reuse);
         let big = service_throughput(8, 60);
         assert_eq!(big.tenants, 8);
         assert_eq!(big.statements_per_tenant(), 8 * 60);
@@ -626,7 +581,7 @@ mod tests {
         let mini = service_skew_mini();
         assert_eq!(mini.tenants, 3);
         assert_eq!(mini.sessions.len(), 2);
-        assert!(mini.steal && !mini.shared_cache && !mini.ibg_reuse);
+        assert!(mini.steal && !mini.ibg_reuse);
         assert_eq!(mini.resolved_workers(), 4);
         // The default scenarios stay unskewed and pinned.
         assert_eq!(service_mini().skew, 1);
@@ -658,26 +613,16 @@ mod tests {
     fn adversarial_skew_arms_differ_only_in_the_adaptive_stack() {
         let adaptive = service_adversarial_skew();
         let control = service_adversarial_skew_control();
-        // The adaptive stack is the only difference between the arms: same
-        // workload, fleet, schedule shape and initial capacity.
+        // Epoch re-planning is the only difference between the arms: same
+        // workload, fleet, schedule shape and worker count.
         assert!(adaptive.hot_flip && control.hot_flip);
         assert_eq!(adaptive.seed, control.seed);
         assert_eq!(adaptive.tenants, control.tenants);
         assert_eq!(adaptive.sessions.len(), control.sessions.len());
         assert_eq!(adaptive.skew, control.skew);
-        assert_eq!(adaptive.cache_capacity, ADVERSARIAL_CACHE_CAPACITY);
-        assert_eq!(control.cache_capacity, ADVERSARIAL_CACHE_CAPACITY);
         assert_eq!(adaptive.resolved_workers(), control.resolved_workers());
-        assert_eq!(adaptive.cache_policy, CachePolicy::Arc);
-        assert_eq!(control.cache_policy, CachePolicy::Clock);
-        assert!(control.adaptive_cache.is_none());
-        let bounds = adaptive
-            .adaptive_cache
-            .expect("adaptive arm has a controller");
-        assert_eq!(bounds.min_capacity, ADVERSARIAL_MIN_CAPACITY);
-        // The floor jumpstart stays below the global budget, and the
-        // epoch cadence splits the nine session-runs into three segments.
-        assert!(adaptive.tenants * ADVERSARIAL_MIN_CAPACITY < ADVERSARIAL_CACHE_BUDGET);
+        // The epoch cadence splits the nine session-runs into three
+        // segments.
         assert_eq!(adaptive.sessions.len(), 3);
         assert_eq!(adaptive.epoch_runs, ADVERSARIAL_EPOCH_RUNS);
         assert_eq!(control.epoch_runs, 0);
@@ -690,11 +635,8 @@ mod tests {
             adaptive.statements_for_tenant(0),
             SKEW_FACTOR * adaptive.statements_for_tenant(1)
         );
-        // Neither steals (cache determinism comes from whole-tenant bins /
-        // epoch segments, not from disabling the cache).
-        assert!(!adaptive.steal && adaptive.shared_cache);
-        // The budget leaves the controller real headroom above the floor.
-        assert!(ADVERSARIAL_CACHE_BUDGET > adaptive.tenants * ADVERSARIAL_CACHE_CAPACITY);
+        // Neither steals: re-planning alone flattens the round.
+        assert!(!adaptive.steal && !control.steal);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! tenant id, and drained by the service's scoped worker pool.  The result
 //! is the same structured [`RunReport`], with one cell per
 //! (tenant × session) and a [`ServiceSummary`] carrying the service-level
-//! metrics (event counts, shared-cache hit rate, throughput, latency).
+//! metrics (event counts, what-if requests, throughput, latency).
 //!
 //! Determinism contract: per-tenant event order is fixed by the spec,
 //! every session replays its tenant's events in that order (the
@@ -17,16 +17,15 @@
 //! every cost-derived metric and every scheduler counter is bit-identical
 //! across runs at the same seed, which is what lets the multi-tenant
 //! scenarios (including the skewed, stealing one) live in the golden
-//! regression suite.  With stealing enabled and a shared cache, only the
-//! cache's hit/miss *split* is timing-dependent; the skewed golden
-//! scenario therefore runs the uncached control arm.
+//! regression suite.  With stealing enabled and a shared IBG store, only
+//! the store's build/reuse *split* is timing-dependent; the skewed golden
+//! scenario therefore runs without IBG reuse.
 
 use std::sync::Arc;
 
 use advisors::{compute_optimal, OptSchedule};
 use advisors::{BanditAdvisor, BanditConfig, BruchoChaudhuriAdvisor};
-use service::{AdaptiveCacheConfig, Event, IngressConfig, TenantEnv, TenantOptions, TuningService};
-use simdb::cache::CachePolicy;
+use service::{Event, IngressConfig, TenantEnv, TenantOptions, TuningService};
 use simdb::index::IndexSet;
 use wfit_core::candidates::{offline_selection, OfflineSelection};
 use wfit_core::config::WfitConfig;
@@ -83,23 +82,15 @@ pub struct ServiceScenarioSpec {
     pub sessions: Vec<ServiceSessionSpec>,
     /// `stateCnt` for the offline candidate selection and the OPT oracle.
     pub selection_state_cnt: u64,
-    /// Whether tenants get a shared what-if cache (`false` is the control
-    /// arm: every request runs the optimizer).
-    pub shared_cache: bool,
     /// Deliver a vote event (approve the tenant's top offline candidate,
     /// reject its last) after every `feedback_every`-th statement; 0
     /// disables feedback.
     pub feedback_every: usize,
-    /// Capacity bound of each tenant's shared what-if cache; 0 keeps the
-    /// cache unbounded (the historical behaviour).  Ignored when
-    /// `shared_cache` is false.
-    pub cache_capacity: usize,
     /// Coalesce up to this many consecutive queries of a tenant into one
     /// session-major batch; 1 reproduces event-at-a-time draining.
     pub batch_size: usize,
     /// Share built index benefit graphs across each tenant's sessions
-    /// through a per-tenant `IbgStore`.  Honored for the uncached control
-    /// arm too (graph dedup works with or without a cost cache underneath).
+    /// through a per-tenant `IbgStore`.
     pub ibg_reuse: bool,
     /// Worker threads draining the service; 0 (the default) uses one worker
     /// per tenant — the historical behaviour.
@@ -107,10 +98,9 @@ pub struct ServiceScenarioSpec {
     /// Enable the cross-tenant work-stealing scheduler: an idle worker
     /// takes whole session-runs from the most-loaded bin.  Session state
     /// stays bit-identical; steal counters are a pure function of queue
-    /// depths.  With a shared cache the hit/miss *split* becomes
-    /// timing-dependent, so golden scenarios that enable stealing also
-    /// disable the shared cache (see
-    /// [`crate::scenarios::service_skew_mini`]).
+    /// depths.  With IBG reuse the build/reuse *split* becomes
+    /// timing-dependent, so golden scenarios that enable stealing leave
+    /// IBG reuse off (see [`crate::scenarios::service_skew_mini`]).
     pub steal: bool,
     /// Event-skew multiplier for tenant 0: the "hot" tenant replays
     /// `skew × statements_per_phase` statements per phase while every other
@@ -143,17 +133,6 @@ pub struct ServiceScenarioSpec {
     /// snapshot + WAL.  The recovered run must render the same report as an
     /// uninterrupted one — that equality is what the restore golden pins.
     pub crash_at: Option<usize>,
-    /// Eviction policy of each tenant's bounded shared cache
-    /// ([`CachePolicy::Clock`] is the historical default;
-    /// [`CachePolicy::Arc`] adds scan resistance).  Inert while the cache
-    /// is unbounded or disabled.
-    pub cache_policy: CachePolicy,
-    /// Bounds for the daemon's working-set capacity controller; `None`
-    /// (the default) keeps every cache at its configured capacity.
-    pub adaptive_cache: Option<AdaptiveCacheConfig>,
-    /// Global cache-memory budget (total entries across tenants) the
-    /// capacity controller must respect; 0 leaves growth unbudgeted.
-    pub cache_budget: usize,
     /// Cut scheduler epochs every this-many completed session-runs and
     /// re-plan the rest of each drain round against the weight every
     /// worker actually absorbed; 0 (the default) keeps one-shot planning.
@@ -162,11 +141,10 @@ pub struct ServiceScenarioSpec {
     /// carry the skew multiplier, but tenant 0 spends it in the first half
     /// of the run (emitting `2·skew−1` statements per row) while the last
     /// tenant mirrors it in the second half — the hot spot migrates
-    /// mid-run.  Both hot tenants also replay a **cache-flushing scan**: a
-    /// contiguous burst of final-phase statements delivered once, mid-run,
-    /// ahead of their natural position.  Each row is drained by exactly
-    /// one `poll` round, so per-round controllers (capacity adaptation,
-    /// epoch re-planning) see the flip as it happens.
+    /// mid-run.  Both hot tenants also replay a **scan**: a contiguous
+    /// burst of final-phase statements delivered once, mid-run, ahead of
+    /// their natural position.  Each row is drained by exactly one `poll`
+    /// round, so epoch re-planning sees the flip as it happens.
     pub hot_flip: bool,
 }
 
@@ -180,7 +158,7 @@ pub const PERSIST_SNAPSHOT_EVERY: usize = 3;
 
 impl ServiceScenarioSpec {
     /// A scenario with the default fleet (WFIT-500, WFIT-IND, BC per
-    /// tenant), shared caches and no feedback.
+    /// tenant) and no feedback.
     pub fn new(name: impl Into<String>, tenants: usize, statements_per_phase: usize) -> Self {
         Self {
             name: name.into(),
@@ -193,9 +171,7 @@ impl ServiceScenarioSpec {
                 ServiceSessionSpec::Bc,
             ],
             selection_state_cnt: 500,
-            shared_cache: true,
             feedback_every: 0,
-            cache_capacity: 0,
             batch_size: 1,
             ibg_reuse: false,
             workers: 0,
@@ -206,9 +182,6 @@ impl ServiceScenarioSpec {
             offered_multiplier: 1,
             persist: false,
             crash_at: None,
-            cache_policy: CachePolicy::Clock,
-            adaptive_cache: None,
-            cache_budget: 0,
             epoch_runs: 0,
             hot_flip: false,
         }
@@ -229,12 +202,6 @@ impl ServiceScenarioSpec {
     /// Replace the per-tenant session fleet.
     pub fn with_sessions(mut self, sessions: Vec<ServiceSessionSpec>) -> Self {
         self.sessions = sessions;
-        self
-    }
-
-    /// Enable or disable the shared what-if caches.
-    pub fn with_shared_cache(mut self, shared: bool) -> Self {
-        self.shared_cache = shared;
         self
     }
 
@@ -266,13 +233,6 @@ impl ServiceScenarioSpec {
     /// Schedule periodic feedback events.
     pub fn with_feedback_every(mut self, every: usize) -> Self {
         self.feedback_every = every;
-        self
-    }
-
-    /// Bound each tenant's shared cache to `capacity` entries (0 =
-    /// unbounded).
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
         self
     }
 
@@ -336,24 +296,6 @@ impl ServiceScenarioSpec {
     pub fn with_crash_at(mut self, wave: usize) -> Self {
         self.persist = true;
         self.crash_at = Some(wave);
-        self
-    }
-
-    /// Select the eviction policy of every tenant's bounded cache.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Enable the working-set capacity controller with the given bounds.
-    pub fn with_adaptive_cache(mut self, adaptive: AdaptiveCacheConfig) -> Self {
-        self.adaptive_cache = Some(adaptive);
-        self
-    }
-
-    /// Bound the capacity controller's total growth across tenants.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        self.cache_budget = budget;
         self
     }
 
@@ -441,9 +383,8 @@ fn persist_scratch_dir(name: &str) -> std::path::PathBuf {
 /// shape: identity, except that a contiguous block of final-phase
 /// positions (an eighth of the stream) is pulled forward to the midpoint —
 /// a burst of statements the tenant sees exactly once, far from their
-/// natural neighbourhood, flooding a recency-only cache while a
-/// scan-resistant one keeps its frequent set.  Every position is still
-/// delivered exactly once.
+/// natural neighbourhood.  Every position is still delivered exactly
+/// once.
 fn scan_order(len: usize) -> Vec<usize> {
     let scan = len / 8;
     let half = (len - scan) / 2;
@@ -737,8 +678,7 @@ fn run_internal(
         let mut svc = TuningService::with_workers(spec.resolved_workers())
             .with_batch_size(spec.batch_size)
             .with_steal(spec.steal)
-            .with_epoch_runs(spec.epoch_runs)
-            .with_cache_budget(spec.cache_budget);
+            .with_epoch_runs(spec.epoch_runs);
         if spec.is_bounded() {
             svc = svc.with_ingress(IngressConfig::bounded(
                 spec.per_tenant_depth,
@@ -747,24 +687,10 @@ fn run_internal(
         }
         let mut tenant_ids = Vec::with_capacity(spec.tenants);
         for (t, prep) in prepared.iter().enumerate() {
-            let options = if spec.shared_cache {
-                let mut options = TenantOptions::default()
-                    .with_cache_capacity(spec.cache_capacity)
-                    .with_cache_policy(spec.cache_policy);
-                if let Some(adaptive) = spec.adaptive_cache {
-                    options = options.with_adaptive_cache(adaptive);
-                }
-                options
-            } else {
-                TenantOptions {
-                    cache: None,
-                    ..TenantOptions::default()
-                }
-            };
             let id = svc.add_tenant_with(
                 format!("tenant-{t}"),
                 prep.db.clone(),
-                options.with_ibg_reuse(spec.ibg_reuse),
+                TenantOptions::default().with_ibg_reuse(spec.ibg_reuse),
             );
             for session in &spec.sessions {
                 svc.add_session(id, session.label(), |env| build_advisor(session, prep, env));
@@ -899,10 +825,9 @@ fn run_internal(
         batch
     } else if spec.hot_flip {
         // Adversarial hot-flip shape: each row is submitted and drained by
-        // exactly one poll round, so the drain-round controllers (capacity
-        // adaptation, epoch re-planning) observe the hot spot migrating
-        // from tenant 0 to the last tenant and the mid-run scan bursts as
-        // they happen instead of one all-at-once drain.
+        // exactly one poll round, so epoch re-planning observes the hot
+        // spot migrating from tenant 0 to the last tenant and the mid-run
+        // scan bursts as they happen instead of one all-at-once drain.
         let mut batch = service::BatchReport::default();
         for row in hot_flip_rows(spec, &prepared) {
             for &(t, kind) in &row {
@@ -1027,7 +952,7 @@ fn run_internal(
 
     let query_events: u64 = processed.iter().map(|&n| n as u64).sum();
     let vote_events: u64 = (0..spec.tenants).map(|t| trace.votes(t) as u64).sum();
-    let cache = svc.aggregate_cache_stats();
+    let whatif = svc.aggregate_cache_stats();
     let ibg = svc.aggregate_ibg_stats();
     let sched = svc.sched_stats();
     let tenant_percentile = |p: f64| -> Vec<u64> {
@@ -1056,11 +981,7 @@ fn run_internal(
             sessions: svc.session_count(),
             query_events,
             vote_events,
-            cache_requests: cache.requests,
-            cache_hits: cache.cache_hits,
-            cache_hit_rate: cache.hit_rate(),
-            cache_evictions: cache.evictions,
-            cache_entries: cache.entries,
+            cache_requests: whatif.requests,
             ibg_builds: ibg.builds,
             ibg_reuses: ibg.reuses,
             workers: spec.resolved_workers(),
@@ -1078,8 +999,6 @@ fn run_internal(
             peak_pending: istats.peak_pending,
             persist: spec.persist,
             wal_rounds: svc.wal_rounds(),
-            ghost_hits: cache.ghost_hits,
-            capacity_final: svc.cache_capacity_total(),
             epochs: sched.epochs,
             replans: sched.replans,
             events_per_sec: batch.events_per_sec(),
@@ -1111,8 +1030,12 @@ mod tests {
         assert_eq!(service.sessions, 6);
         assert_eq!(service.query_events, 32);
         assert_eq!(service.vote_events, 2 * 2); // one vote per 8 statements
+                                                // The service-level what-if count is exactly the sessions' sum.
         assert!(service.cache_requests > 0);
-        assert!(service.cache_hit_rate > 0.0 && service.cache_hit_rate < 1.0);
+        assert_eq!(
+            service.cache_requests,
+            report.cells.iter().map(|c| c.whatif_calls).sum::<u64>()
+        );
         // Per-tenant OPT lower-bounds every session of that tenant; the
         // summed opt_total lower-bounds the summed total work per fleet slot.
         for cell in &report.cells {
@@ -1135,16 +1058,12 @@ mod tests {
 
     #[test]
     fn bounded_batched_reusing_runs_agree_with_default_costs() {
-        // The hot-path knobs — bounded cache (forced below the working
-        // set), query batching, IBG reuse — may only change *overhead*
-        // metrics (hits, evictions, builds), never a cost or recommendation.
+        // The hot-path knobs — query batching, IBG reuse — may only change
+        // *overhead* metrics (what-if requests, builds), never a cost or
+        // recommendation.
+        let tuned_spec = || tiny("svc-hotpath").with_batch_size(4).with_ibg_reuse(true);
         let base = run_service_scenario(&tiny("svc-hotpath"));
-        let tuned = run_service_scenario(
-            &tiny("svc-hotpath")
-                .with_cache_capacity(16)
-                .with_batch_size(4)
-                .with_ibg_reuse(true),
-        );
+        let tuned = run_service_scenario(&tuned_spec());
         assert_eq!(base.cells.len(), tuned.cells.len());
         for (b, t) in base.cells.iter().zip(&tuned.cells) {
             assert_eq!(b.label, t.label);
@@ -1158,26 +1077,14 @@ mod tests {
         }
         let base_svc = base.service.as_ref().unwrap();
         let tuned_svc = tuned.service.as_ref().unwrap();
-        assert_eq!(
-            base_svc.cache_evictions, 0,
-            "unbounded default never evicts"
-        );
         assert_eq!(base_svc.ibg_builds + base_svc.ibg_reuses, 0);
-        assert!(
-            tuned_svc.cache_evictions > 0,
-            "capacity 16 must be below the working set ({} entries unbounded)",
-            base_svc.cache_entries
-        );
-        // Two tenants, each capped at 16 resident entries.
-        assert!(tuned_svc.cache_entries <= 2 * 16);
         assert!(tuned_svc.ibg_reuses > 0, "fleet sessions must share graphs");
-        // Determinism: the tuned configuration replays byte-identically.
-        let rerun = run_service_scenario(
-            &tiny("svc-hotpath")
-                .with_cache_capacity(16)
-                .with_batch_size(4)
-                .with_ibg_reuse(true),
+        assert!(
+            tuned_svc.cache_requests < base_svc.cache_requests,
+            "reused graphs skip what-if traffic"
         );
+        // Determinism: the tuned configuration replays byte-identically.
+        let rerun = run_service_scenario(&tuned_spec());
         assert_eq!(tuned.to_json(), rerun.to_json());
     }
 
@@ -1266,20 +1173,14 @@ mod tests {
     #[test]
     fn hot_flip_adaptive_arm_agrees_on_costs_with_static_arm() {
         // The adversarial shape delivers every (tenant, position) exactly
-        // once in both arms, and adaptation/epoch-replanning only move
-        // overhead counters — so every cost cell is bit-equal between the
-        // self-tuning arm and the static control arm.
+        // once in both arms, and epoch re-planning only moves scheduler
+        // counters — so every cost cell is bit-equal between the
+        // re-planning arm and the static control arm.
         let base = ServiceScenarioSpec::new("svc-hotflip", 3, 2)
             .with_skew(4)
             .with_workers(2)
-            .with_cache_capacity(8)
             .with_hot_flip(true);
-        let adaptive = base
-            .clone()
-            .with_cache_policy(CachePolicy::Arc)
-            .with_adaptive_cache(AdaptiveCacheConfig::default())
-            .with_cache_budget(96)
-            .with_epoch_runs(4);
+        let adaptive = base.clone().with_epoch_runs(4);
         let static_arm = run_service_scenario(&base);
         let tuned = run_service_scenario(&adaptive);
         assert_eq!(static_arm.cells.len(), tuned.cells.len());
@@ -1301,75 +1202,11 @@ mod tests {
         let ssum = static_arm.service.as_ref().unwrap();
         let asum = tuned.service.as_ref().unwrap();
         assert_eq!(ssum.query_events, asum.query_events);
+        assert_eq!(ssum.cache_requests, asum.cache_requests);
         assert_eq!(ssum.epochs + ssum.replans, 0, "static arm never re-plans");
-        assert_eq!(ssum.capacity_final, 3 * 8, "static capacities stay put");
         assert!(asum.replans > 0, "epoch mode must re-plan mid-round");
-        assert!(
-            asum.capacity_final > ssum.capacity_final,
-            "thrash at capacity 8 must grow the adaptive caches"
-        );
-        assert!(asum.capacity_final <= 96, "the global budget binds growth");
-        // Self-tuning replays byte-identically.
+        // Re-planning replays byte-identically.
         let rerun = run_service_scenario(&adaptive);
         assert_eq!(tuned.to_json(), rerun.to_json());
-    }
-
-    #[test]
-    fn cached_and_uncached_runs_agree_on_costs() {
-        let cached = run_service_scenario(&tiny("svc-cache"));
-        let uncached = run_service_scenario(&tiny("svc-cache").with_shared_cache(false));
-        assert_eq!(cached.cells.len(), uncached.cells.len());
-        for (c, u) in cached.cells.iter().zip(&uncached.cells) {
-            assert_eq!(c.label, u.label);
-            assert_eq!(
-                c.total_work.to_bits(),
-                u.total_work.to_bits(),
-                "{}",
-                c.label
-            );
-            assert_eq!(c.ratio_series, u.ratio_series, "{}", c.label);
-        }
-        let service = uncached.service.as_ref().unwrap();
-        assert_eq!(service.cache_requests, 0, "uncached arm bypasses the cache");
-    }
-
-    #[test]
-    fn bandit_cached_and_uncached_runs_agree_on_costs_and_whatif_calls() {
-        // The bandit charges its exploration through the same `TuningEnv`
-        // what-if accounting as WFIT/BC: switching the shared cache off may
-        // change nothing about any cost cell, regret, fallback counter or
-        // per-session `whatif_calls` — only the cache counters move.
-        let cached = run_service_scenario(&tiny("svc-bandit-cache").with_bandit(true));
-        let uncached = run_service_scenario(
-            &tiny("svc-bandit-cache")
-                .with_bandit(true)
-                .with_shared_cache(false),
-        );
-        assert!(
-            cached.cells.iter().any(|c| c.advisor == "BANDIT"),
-            "the fleet must field a bandit cell"
-        );
-        assert_eq!(cached.cells.len(), uncached.cells.len());
-        for (c, u) in cached.cells.iter().zip(&uncached.cells) {
-            assert_eq!(c.label, u.label);
-            assert_eq!(
-                c.total_work.to_bits(),
-                u.total_work.to_bits(),
-                "{}",
-                c.label
-            );
-            assert_eq!(c.ratio_series, u.ratio_series, "{}", c.label);
-            assert_eq!(c.regret.to_bits(), u.regret.to_bits(), "{}", c.label);
-            assert_eq!(c.safety_fallbacks, u.safety_fallbacks, "{}", c.label);
-            assert_eq!(
-                c.whatif_calls, u.whatif_calls,
-                "{}: what-if accounting must not depend on the cache",
-                c.label
-            );
-        }
-        let bandit = cached.cells.iter().find(|c| c.advisor == "BANDIT").unwrap();
-        assert!(bandit.whatif_calls > 0, "exploration must be charged");
-        let service = uncached.service.as_ref().unwrap();
-        assert_eq!(service.cache_requests, 0, "uncached arm bypasses the cache");
     }
 }

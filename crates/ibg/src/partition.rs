@@ -10,17 +10,19 @@
 //! degree of interaction across parts.
 
 use simdb::index::IndexId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A partition: each inner vector is one part.  Parts and their members are
 /// kept sorted so partitions can be compared structurally.
 pub type Partition = Vec<Vec<IndexId>>;
 
 /// Symmetric map of pairwise interaction weights.  Keys are stored with the
-/// smaller index first.
+/// smaller index first, in key order: every sum over the weights (e.g.
+/// [`partition_loss`]) adds them in the same order, so its floating-point
+/// result is reproducible bit for bit across processes.
 #[derive(Debug, Clone, Default)]
 pub struct InteractionWeights {
-    weights: HashMap<(IndexId, IndexId), f64>,
+    weights: BTreeMap<(IndexId, IndexId), f64>,
 }
 
 impl InteractionWeights {
@@ -57,7 +59,7 @@ impl InteractionWeights {
         self.weights.get(&Self::key(a, b)).copied().unwrap_or(0.0)
     }
 
-    /// Iterate over all positive-weight pairs.
+    /// Iterate over all positive-weight pairs, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (IndexId, IndexId, f64)> + '_ {
         self.weights.iter().map(|(&(a, b), &w)| (a, b, w))
     }
@@ -240,6 +242,34 @@ mod tests {
         // Minimum stable partition has zero loss.
         let full = connected_components(&ids(&[1, 2, 3, 4]), &w, 0.0);
         assert_eq!(partition_loss(&full, &w), 0.0);
+    }
+
+    /// Regression: the loss used to sum the weights in `HashMap` order, so
+    /// the same weights gave different floating-point losses (and with them
+    /// different repartition decisions) from one map instance to the next.
+    #[test]
+    fn loss_is_bit_identical_for_identical_weights() {
+        // 1e16 absorbs a lone 1.0 (its ulp is 2.0), so the sum depends on
+        // whether the small weights are added before or after it.
+        let pairs = [
+            (1, 5, 1e16),
+            (2, 6, 1.0),
+            (3, 7, 1.0),
+            (4, 8, 1.0),
+            (1, 6, 1.0),
+        ];
+        let p: Partition = vec![ids(&[1, 2, 3, 4]), ids(&[5, 6, 7, 8])];
+        let losses: std::collections::BTreeSet<u64> = (0..64)
+            .map(|rotation| {
+                let mut w = InteractionWeights::new();
+                for k in 0..pairs.len() {
+                    let (a, b, weight) = pairs[(k + rotation) % pairs.len()];
+                    w.set(IndexId(a), IndexId(b), weight);
+                }
+                partition_loss(&p, &w).to_bits()
+            })
+            .collect();
+        assert_eq!(losses.len(), 1, "losses {losses:?}");
     }
 
     #[test]

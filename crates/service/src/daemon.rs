@@ -9,7 +9,7 @@
 //! `std::thread::scope` worker pool, and keeps the books
 //! ([`BatchReport`], [`SchedStats`], per-tenant counters).
 
-use crate::env::{AdaptiveCacheConfig, TenantEnv, TenantOptions};
+use crate::env::{TenantEnv, TenantOptions};
 use crate::event::{Event, SessionId, TenantId};
 use crate::ibg_store::IbgStats;
 use crate::ingress::{Ingress, IngressConfig, IngressStats, ServiceHandle, SubmitOutcome};
@@ -34,8 +34,8 @@ pub type ServiceSession = TuningSession<TenantEnv, Box<dyn IndexAdvisor + Send>>
 
 pub(crate) struct SessionSlot {
     label: String,
-    /// The per-session environment fork; shares the tenant cache but owns
-    /// its own what-if request counter.
+    /// The per-session environment fork; shares the tenant's database and
+    /// IBG store but owns its own what-if request counter.
     env: TenantEnv,
     session: ServiceSession,
     /// Set when the session's advisor panicked: the panic message.  A
@@ -76,26 +76,20 @@ struct Tenant {
     env: TenantEnv,
     slots: Vec<SessionSlot>,
     processed: u64,
-    /// Bounds of the working-set capacity controller (`None` = static).
-    adaptive: Option<AdaptiveCacheConfig>,
-    /// Cache counters at the previous drain-round boundary — the
-    /// controller works on per-round deltas, so its decisions are a pure
-    /// function of the event sequence.
-    last_cache: WhatIfStats,
 }
 
 /// Replay one event run against every session of a tenant, **grouped**:
 /// runs of up to `batch_size` consecutive [`Event::Query`]s are coalesced (a
 /// [`Event::Vote`] always closes the current batch) and each batch is
 /// processed session-major — the first session analyzes the whole batch,
-/// warming the tenant's shared what-if cache and IBG store, before the next
-/// session starts.  Per-session event order is unchanged (sessions are
-/// mutually independent and each still sees the batch's statements in
-/// submission order, with votes at the same boundaries), so grouping can
-/// never change a recommendation, a cost, or any other deterministic metric
-/// — only wall-clock numbers and, when the cache is bounded, the
-/// hit/eviction split, which is itself a pure function of the per-tenant
-/// event order and batch size.  This is the execution path of every
+/// warming the tenant's IBG store, before the next session starts.
+/// Per-session event order is unchanged (sessions are mutually independent
+/// and each still sees the batch's statements in submission order, with
+/// votes at the same boundaries), so grouping can never change a
+/// recommendation, a cost, or any other deterministic metric — only
+/// wall-clock numbers and the IBG build/reuse split, which is itself a pure
+/// function of the per-tenant event order and batch size.  This is the
+/// execution path of every
 /// [`Placement::Whole`] tenant — identical to the historical sequential
 /// drain.  Returns the per-event latencies in microseconds.
 fn drain_grouped(
@@ -166,7 +160,7 @@ fn flush_batch(
 /// Replay one event run against a **single** session — the execution path
 /// of a stolen session-run ([`Placement::Split`]).  The session sees its
 /// events in exactly the submission order, so its state is bit-identical to
-/// what the grouped drain produces; only cache/IBG warming order (overhead
+/// what the grouped drain produces; only IBG warming order (overhead
 /// counters, wall clock) differs.  Returns per-event latencies in
 /// microseconds.
 fn drain_session(slot: &mut SessionSlot, events: &[Event]) -> Vec<u64> {
@@ -193,7 +187,7 @@ fn drain_session(slot: &mut SessionSlot, events: &[Event]) -> Vec<u64> {
 /// rounds' reports).
 ///
 /// All fields are wall-clock derived and therefore **not** deterministic
-/// across runs; deterministic state (session accounting, cache and
+/// across runs; deterministic state (session accounting, what-if and
 /// scheduler counters) lives on the service itself.
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
@@ -326,8 +320,8 @@ impl BatchReport {
 
 /// A long-running, multi-tenant online tuning service.
 ///
-/// The service owns a registry of tenants — each a database handle, a shared
-/// what-if cost cache, and a fleet of tuning sessions — plus a sharded
+/// The service owns a registry of tenants — each a database handle, an
+/// optional IBG store, and a fleet of tuning sessions — plus a sharded
 /// [`Ingress`] of pending events.  [`TuningService::submit`] (or a cloned
 /// [`TuningService::handle`], from any thread, **while a drain is running**)
 /// shards events across per-tenant FIFO queues; [`TuningService::poll`]
@@ -342,7 +336,7 @@ impl BatchReport {
 /// * the work-stealing plan is a pure function of the queue-depth snapshot,
 ///   so scheduler counters are deterministic too;
 /// * with stealing disabled each tenant drains sequentially on one worker —
-///   the historical behaviour, bit-identical including cache counters.
+///   the historical behaviour, bit-identical including IBG counters.
 pub struct TuningService {
     tenants: Vec<Tenant>,
     ingress: Arc<Ingress>,
@@ -352,9 +346,6 @@ pub struct TuningService {
     /// Cut an epoch boundary every this many completed session-runs
     /// (0 = single-shot plans, the historical behaviour).
     epoch_runs: usize,
-    /// Global cap on the summed capacity of all adaptively-sized caches
-    /// (0 = unlimited).  Limits controller *growth* only.
-    cache_budget: usize,
     sched: SchedStats,
     persist: Option<PersistState>,
 }
@@ -395,7 +386,6 @@ impl TuningService {
             batch_size: 1,
             steal: false,
             epoch_runs: 0,
-            cache_budget: 0,
             sched: SchedStats::default(),
             persist: None,
         }
@@ -412,7 +402,7 @@ impl TuningService {
     /// Enable cross-tenant work-stealing: a worker that exhausts its bin
     /// takes whole session-runs from the most-loaded bin (see
     /// [`crate::scheduler`]).  Off by default — the pinned-bin scheduler is
-    /// the historical behaviour and keeps per-tenant cache counters
+    /// the historical behaviour and keeps per-tenant IBG counters
     /// deterministic.
     pub fn with_steal(mut self, steal: bool) -> Self {
         self.steal = steal;
@@ -425,19 +415,10 @@ impl TuningService {
     /// cumulative weight each worker bin has absorbed, so a static plan's
     /// cost-skew misestimates self-correct mid-round.  In epoch mode a
     /// tenant's session-runs never execute concurrently, so per-tenant
-    /// cache counters stay deterministic at any worker count.  `0` (the
+    /// IBG counters stay deterministic at any worker count.  `0` (the
     /// default) keeps single-shot plans — the historical behaviour.
     pub fn with_epoch_runs(mut self, epoch_runs: usize) -> Self {
         self.epoch_runs = epoch_runs;
-        self
-    }
-
-    /// Cap the summed live capacity of all adaptively-sized tenant caches
-    /// at `budget` entries (0 = unlimited).  The working-set controller
-    /// stops growing a cache when the budget is exhausted; it never
-    /// force-shrinks below a tenant's current capacity.
-    pub fn with_cache_budget(mut self, budget: usize) -> Self {
-        self.cache_budget = budget;
         self
     }
 
@@ -454,21 +435,6 @@ impl TuningService {
     /// The configured epoch length in session-runs (0 = epochs off).
     pub fn epoch_runs(&self) -> usize {
         self.epoch_runs
-    }
-
-    /// The configured global adaptive-cache budget (0 = unlimited).
-    pub fn cache_budget(&self) -> usize {
-        self.cache_budget
-    }
-
-    /// Summed live capacity of every tenant's bounded cache, in entries —
-    /// the quantity the working-set controller steers (unbounded and
-    /// disabled caches contribute 0).
-    pub fn cache_capacity_total(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|t| t.env.cache_capacity().unwrap_or(0) as u64)
-            .sum()
     }
 
     /// The configured maximum worker count.
@@ -497,53 +463,33 @@ impl TuningService {
         self.ingress.config()
     }
 
-    /// Register a tenant with a shared what-if cache over its database.
+    /// Register a tenant over its database with the default options.
     pub fn add_tenant(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::cached(db), None, None)
+        self.add_tenant_with(name, db, TenantOptions::default())
     }
 
-    /// Register a tenant with explicit cache/IBG-sharing/ingress options.
+    /// Register a tenant with explicit IBG-sharing/ingress options.
     pub fn add_tenant_with(
         &mut self,
         name: impl Into<String>,
         db: Arc<Database>,
         options: TenantOptions,
     ) -> TenantId {
-        let depth = options.ingress_depth;
-        let adaptive = options.adaptive;
-        self.register(name, TenantEnv::with_options(db, options), depth, adaptive)
-    }
-
-    /// Register a tenant **without** a shared cache (every what-if request
-    /// runs the optimizer) — the control arm for cache-effect studies.
-    pub fn add_tenant_uncached(&mut self, name: impl Into<String>, db: Arc<Database>) -> TenantId {
-        self.register(name, TenantEnv::uncached(db), None, None)
-    }
-
-    fn register(
-        &mut self,
-        name: impl Into<String>,
-        env: TenantEnv,
-        ingress_depth: Option<usize>,
-        adaptive: Option<AdaptiveCacheConfig>,
-    ) -> TenantId {
-        let shard = self.ingress.add_shard_with(ingress_depth);
+        let shard = self.ingress.add_shard_with(options.ingress_depth);
         debug_assert_eq!(shard, self.tenants.len(), "shards mirror the registry");
         let id = TenantId(self.tenants.len() as u32);
         self.tenants.push(Tenant {
             name: name.into(),
-            env,
+            env: TenantEnv::with_options(db, options),
             slots: Vec::new(),
             processed: 0,
-            adaptive,
-            last_cache: WhatIfStats::default(),
         });
         id
     }
 
     /// Add a tuning session to a tenant with immediate recommendation
     /// adoption.  `build` receives the session's environment (sharing the
-    /// tenant's database and cache) and returns the advisor to drive.
+    /// tenant's database and IBG store) and returns the advisor to drive.
     pub fn add_session(
         &mut self,
         tenant: TenantId,
@@ -574,8 +520,8 @@ impl TuningService {
         SessionId::new(tenant, t.slots.len() - 1)
     }
 
-    /// The tenant-level environment (shared database + cache).  Useful for
-    /// preparing statements or inspecting the cache outside any session.
+    /// The tenant-level environment (shared database + IBG store).  Useful
+    /// for preparing statements outside any session.
     pub fn env(&self, tenant: TenantId) -> TenantEnv {
         self.tenant_ref(tenant).env.clone()
     }
@@ -675,13 +621,9 @@ impl TuningService {
             self.execute_single_plan(&loads, &config, &events, max_depth)
         };
 
-        // Round bookkeeping on the main thread, where it is deterministic:
-        // per-tenant processed counters, then the working-set controller
-        // (which only ever acts on drain-round boundaries).
         for (t, tenant) in self.tenants.iter_mut().enumerate() {
             tenant.processed += events[t].len() as u64;
         }
-        self.run_adaptive_controllers();
 
         let mut all = Vec::new();
         let mut per_tenant: Vec<Vec<u64>> = vec![Vec::new(); self.tenants.len()];
@@ -806,8 +748,8 @@ impl TuningService {
     /// segments run **sequentially**, each on its own worker scope, and
     /// every segment's placements already account for the cumulative weight
     /// earlier segments put on each bin.  A tenant appears at most once per
-    /// segment, so its session-runs never execute concurrently — cache and
-    /// IBG counters stay deterministic at any worker count.
+    /// segment, so its session-runs never execute concurrently — IBG
+    /// counters stay deterministic at any worker count.
     fn execute_epoch_round(
         &mut self,
         loads: &[TenantLoad],
@@ -866,70 +808,6 @@ impl TuningService {
         results
     }
 
-    /// The working-set capacity controller: at each drain-round boundary,
-    /// resize every adaptively-configured tenant cache from its own
-    /// per-round counter deltas.  Runs on the main thread in registration
-    /// order, so with a fixed event sequence the whole capacity trajectory
-    /// replays bit-identically.
-    ///
-    /// Per tenant (skipped entirely when the round issued no requests):
-    /// *grow* by half (at least 8 entries) when the round saw ghost hits
-    /// (keys evicted too early) or evicted more than half the capacity;
-    /// *shrink* by a quarter when nothing was evicted and occupancy is
-    /// below half.  The result is clamped to the tenant's
-    /// [`AdaptiveCacheConfig`] bounds, and growth additionally to the
-    /// service-wide [`TuningService::with_cache_budget`].
-    fn run_adaptive_controllers(&mut self) {
-        let adaptive_caps: u64 = self
-            .tenants
-            .iter()
-            .filter(|t| t.adaptive.is_some())
-            .map(|t| t.env.cache_capacity().unwrap_or(0) as u64)
-            .sum();
-        let mut adaptive_caps = adaptive_caps as usize;
-        for tenant in &mut self.tenants {
-            let Some(bounds) = tenant.adaptive else {
-                continue;
-            };
-            let Some(cache) = tenant.env.shared_cache() else {
-                continue;
-            };
-            let stats = cache.stats();
-            let last = tenant.last_cache;
-            tenant.last_cache = stats;
-            if stats.requests.saturating_sub(last.requests) == 0 {
-                continue; // idle round: no evidence, no action
-            }
-            let Some(cap) = cache.capacity() else {
-                continue; // unbounded caches are not resizable
-            };
-            let ghost_delta = stats.ghost_hits.saturating_sub(last.ghost_hits);
-            let evict_delta = stats.evictions.saturating_sub(last.evictions);
-            let mut target = if ghost_delta > 0 || evict_delta > cap as u64 / 2 {
-                cap + (cap / 2).max(8)
-            } else if evict_delta == 0 && stats.entries.saturating_mul(2) < cap as u64 {
-                cap - cap / 4
-            } else {
-                cap
-            };
-            target = target.clamp(bounds.min_capacity, bounds.max_capacity.max(1));
-            if self.cache_budget > 0 && target > cap {
-                let headroom = self.cache_budget.saturating_sub(adaptive_caps - cap);
-                target = target.min(headroom.max(cap));
-            }
-            if target != cap {
-                cache.resize(target);
-            }
-            // The cache clamps resizes to its shard topology; account for
-            // what actually happened, not what was requested.
-            let now = tenant.env.cache_capacity().unwrap_or(cap);
-            adaptive_caps = adaptive_caps - cap + now;
-            // Resizing moves the eviction/entry counters; re-baseline so
-            // the next round's deltas reflect only that round's traffic.
-            tenant.last_cache = tenant.env.cache_stats();
-        }
-    }
-
     /// Drain the ingress completely: loop [`TuningService::poll`] rounds
     /// until no event is pending, absorbing each round's report.  A thin
     /// wrapper over `poll` — when all events were submitted before the call
@@ -977,17 +855,21 @@ impl TuningService {
         self.tenant_ref(tenant).processed
     }
 
-    /// Counters of a tenant's shared what-if cache (zeros when the tenant
-    /// was registered uncached).
-    pub fn cache_stats(&self, tenant: TenantId) -> WhatIfStats {
-        self.tenant_ref(tenant).env.cache_stats()
-    }
-
-    /// Cache counters aggregated over all tenants.
+    /// What-if requests of every session of every tenant, summed, as
+    /// [`WhatIfStats`].  The service keeps no cost memo, so every request
+    /// runs the optimizer: hits and resident entries are always 0.
     pub fn aggregate_cache_stats(&self) -> WhatIfStats {
-        self.tenants.iter().fold(WhatIfStats::default(), |acc, t| {
-            acc.merge(&t.env.cache_stats())
-        })
+        let requests = self
+            .tenants
+            .iter()
+            .flat_map(|t| &t.slots)
+            .map(|slot| slot.env.whatif_requests())
+            .sum();
+        WhatIfStats {
+            requests,
+            optimizer_calls: requests,
+            ..WhatIfStats::default()
+        }
     }
 
     /// Counters of a tenant's IBG store (zeros when IBG sharing is off).
@@ -1145,8 +1027,8 @@ impl TuningService {
     }
 
     /// Write a checkpoint manifest for the current state: the WAL round
-    /// count it reflects, a configuration echo, full cache exports, IBG and
-    /// per-session digests, and the admission-ledger counters replay cannot
+    /// count it reflects, a configuration echo, IBG and per-session
+    /// digests, and the admission-ledger counters replay cannot
     /// re-derive.  The file is written to a temp name and atomically
     /// renamed over `snapshot.json`, so readers only ever see a complete
     /// manifest.  Queued-but-undrained events are *not* captured — on a
@@ -1177,7 +1059,6 @@ impl TuningService {
             batch_size: self.batch_size as u64,
             steal: self.steal,
             epoch_runs: self.epoch_runs as u64,
-            cache_budget: self.cache_budget as u64,
             peak_pending: self.ingress.stats().peak_pending,
             sched_rounds: self.sched.rounds,
             sched_session_runs: self.sched.session_runs,
@@ -1195,7 +1076,6 @@ impl TuningService {
                         shed: stats.shed,
                         deferred: stats.deferred,
                         rejected: stats.rejected,
-                        cache: tenant.env.shared_cache().map(|c| c.export()),
                         ibg_digest: tenant.env.ibg_store().map(|s| s.digest()),
                         sessions: tenant.slots.iter().map(session_digest_of).collect(),
                     }
@@ -1216,8 +1096,8 @@ impl TuningService {
     /// torn final record is discarded and physically truncated — never
     /// fatal.  When a snapshot manifest is present its digests are
     /// verified at the checkpoint round ([`PersistError::Divergence`] on
-    /// any mismatch; with stealing enabled the cache/IBG digests are
-    /// skipped, as their hit/miss split is timing-dependent by contract)
+    /// any mismatch; with stealing enabled the IBG digest is skipped, as
+    /// its build/reuse split is timing-dependent by contract)
     /// and its non-replayable ledger counters are seeded afterwards.
     ///
     /// # Errors
@@ -1329,12 +1209,6 @@ impl TuningService {
                 snap.epoch_runs, self.epoch_runs
             ));
         }
-        if snap.cache_budget != self.cache_budget as u64 {
-            return mismatch(format!(
-                "snapshot used cache_budget={}, this service has {}",
-                snap.cache_budget, self.cache_budget
-            ));
-        }
         if snap.tenants.len() != self.tenants.len() {
             return mismatch(format!(
                 "snapshot had {} tenant(s), this service has {}",
@@ -1369,10 +1243,9 @@ impl TuningService {
     }
 
     /// Compare the replayed state against the snapshot's digests at the
-    /// checkpoint round.  Per-session accounting is always bit-checked;
-    /// cache and IBG digests are skipped under work-stealing, where the
-    /// hit/miss split (and hence slot order) is timing-dependent by
-    /// documented contract.
+    /// checkpoint round.  Per-session accounting is always bit-checked; the
+    /// IBG digest is skipped under work-stealing, where the build/reuse
+    /// split is timing-dependent by documented contract.
     fn verify_snapshot(&self, snap: &Snapshot) -> Result<(), PersistError> {
         for (t, (ts, tenant)) in snap.tenants.iter().zip(&self.tenants).enumerate() {
             for (s, (expected, slot)) in ts.sessions.iter().zip(&tenant.slots).enumerate() {
@@ -1386,14 +1259,6 @@ impl TuningService {
                 }
             }
             if !self.steal {
-                let live_cache = tenant.env.shared_cache().map(|c| c.export().digest());
-                let snap_cache = ts.cache.as_ref().map(|c| c.digest());
-                if live_cache != snap_cache {
-                    return Err(PersistError::Divergence(format!(
-                        "tenant {t} cache digest mismatch: snapshot {snap_cache:?}, \
-                         replayed {live_cache:?}"
-                    )));
-                }
                 let live_ibg = tenant.env.ibg_store().map(|s| s.digest());
                 if live_ibg != ts.ibg_digest {
                     return Err(PersistError::Divergence(format!(
@@ -1625,8 +1490,8 @@ mod tests {
     }
 
     #[test]
-    fn sessions_of_a_tenant_share_the_what_if_cache() {
-        let (mut svc, ids) = seeded_service(1, 2);
+    fn aggregate_what_if_stats_sum_the_session_counters() {
+        let (mut svc, ids) = seeded_service(2, 2);
         let q = Arc::new(
             svc.env(ids[0])
                 .database()
@@ -1635,19 +1500,21 @@ mod tests {
         );
         svc.submit(Event::query(ids[0], q));
         svc.process_pending();
-        let stats = svc.cache_stats(ids[0]);
-        // The second session's identical analysis hits what the first one
-        // computed: at least half of all requests are hits.
-        assert!(stats.requests > 0);
-        assert!(
-            stats.cache_hits * 2 >= stats.requests,
-            "expected cross-session hits, stats = {stats:?}"
-        );
-        // Both sessions issued the same number of requests.
+        let per_session: Vec<u64> = svc
+            .session_ids()
+            .iter()
+            .map(|&sid| svc.session_whatif_requests(sid))
+            .collect();
+        // Both sessions of tenant 0 ran the same analysis; tenant 1 none.
+        assert!(per_session[0] > 0);
+        assert_eq!(per_session, vec![per_session[0], per_session[0], 0, 0]);
+        let stats = svc.aggregate_cache_stats();
+        assert_eq!(stats.requests, 2 * per_session[0]);
         assert_eq!(
-            svc.session_whatif_requests(SessionId::new(ids[0], 0)),
-            svc.session_whatif_requests(SessionId::new(ids[0], 1)),
+            stats.optimizer_calls, stats.requests,
+            "no memo: every request runs"
         );
+        assert_eq!((stats.cache_hits, stats.entries), (0, 0));
     }
 
     #[test]
@@ -1737,15 +1604,13 @@ mod tests {
             let id = svc.add_tenant_with(
                 "t",
                 handle.clone(),
-                TenantOptions::default()
-                    .with_cache_capacity(6)
-                    .with_ibg_reuse(true),
+                TenantOptions::default().with_ibg_reuse(true),
             );
             svc.add_session(id, "wfit-a", wfit_builder);
             svc.add_session(id, "wfit-b", wfit_builder);
             let idx = handle.define_index("t", &["a"]).unwrap();
             // Structurally distinct statements (fingerprints hash predicate
-            // shape, not literals), so batches exercise multiple cache keys.
+            // shape, not literals), so batches exercise multiple IBG keys.
             let queries: Vec<_> = [
                 "SELECT b FROM t WHERE a = 1",
                 "SELECT a FROM t WHERE b = 2",
@@ -1826,19 +1691,19 @@ mod tests {
                 .iter()
                 .map(|&sid| svc.cost_series(sid).iter().map(|c| c.to_bits()).collect())
                 .collect();
-            (series, svc.cache_stats(id), svc.ibg_stats(id))
+            (series, svc.aggregate_cache_stats(), svc.ibg_stats(id))
         };
-        let (baseline, base_cache, base_ibg) = run(TenantOptions::default(), 1);
-        let (shared, shared_cache, shared_ibg) =
+        let (baseline, base_whatif, base_ibg) = run(TenantOptions::default(), 1);
+        let (shared, shared_whatif, shared_ibg) =
             run(TenantOptions::default().with_ibg_reuse(true), 4);
         assert_eq!(baseline, shared, "reuse must not change any cost series");
         assert_eq!(base_ibg, IbgStats::default());
         assert!(shared_ibg.reuses > 0, "stats = {shared_ibg:?}");
         assert!(
-            shared_cache.requests < base_cache.requests,
+            shared_whatif.requests < base_whatif.requests,
             "reused graphs skip what-if traffic: {} !< {}",
-            shared_cache.requests,
-            base_cache.requests
+            shared_whatif.requests,
+            base_whatif.requests
         );
     }
 
@@ -1873,10 +1738,10 @@ mod tests {
             let mut fingerprint = Vec::new();
             for id in svc.session_ids() {
                 let stats = svc.session_stats(id);
-                fingerprint.push((stats.queries, stats.total_work.to_bits()));
                 fingerprint.push((
-                    svc.cache_stats(id.tenant).cache_hits,
-                    svc.cache_stats(id.tenant).requests,
+                    stats.queries,
+                    stats.total_work.to_bits(),
+                    svc.session_whatif_requests(id),
                 ));
             }
             fingerprint
@@ -1894,10 +1759,10 @@ mod tests {
             let mut tenants = Vec::new();
             for t in 0..3 {
                 let handle = db();
-                // Uncached: sessions share no mutable state, so even the
-                // per-session what-if counters stay deterministic under
-                // concurrent stolen runs.
-                let id = svc.add_tenant_uncached(format!("tenant-{t}"), handle.clone());
+                // Without an IBG store sessions share no mutable state, so
+                // even the per-session what-if counters stay deterministic
+                // under concurrent stolen runs.
+                let id = svc.add_tenant(format!("tenant-{t}"), handle.clone());
                 for s in 0..3 {
                     svc.add_session(id, format!("s{s}"), wfit_builder);
                 }
@@ -1945,21 +1810,18 @@ mod tests {
     /// Epoch mode's contract, analogous to stealing's: re-planning may only
     /// change scheduler/wall-clock metrics, never session state — and
     /// because a tenant's runs never execute concurrently, even the shared
-    /// cache counters are deterministic at every worker count.
+    /// IBG store's counters are deterministic at every worker count.
     #[test]
     fn epoch_mode_preserves_session_state_and_cache_determinism() {
-        use simdb::cache::CachePolicy;
         let run = |epoch_runs: usize, workers: usize| {
             let mut svc = TuningService::with_workers(workers).with_epoch_runs(epoch_runs);
-            let mut caches = Vec::new();
+            let mut tenants = Vec::new();
             for t in 0..3 {
                 let handle = db();
                 let id = svc.add_tenant_with(
                     format!("tenant-{t}"),
                     handle.clone(),
-                    TenantOptions::default()
-                        .with_cache_capacity(8)
-                        .with_cache_policy(CachePolicy::Arc),
+                    TenantOptions::default().with_ibg_reuse(true),
                 );
                 for s in 0..3 {
                     svc.add_session(id, format!("s{s}"), wfit_builder);
@@ -1974,7 +1836,7 @@ mod tests {
                 for _ in 0..n {
                     svc.submit(Event::query(id, q.clone()));
                 }
-                caches.push(id);
+                tenants.push(id);
             }
             svc.process_pending();
             let state: Vec<(u64, u64)> = svc
@@ -1985,11 +1847,19 @@ mod tests {
                     (stats.queries, stats.total_work.to_bits())
                 })
                 .collect();
-            let cache: Vec<WhatIfStats> = caches.iter().map(|&id| svc.cache_stats(id)).collect();
-            (state, cache, svc.sched_stats())
+            let overhead: Vec<(IbgStats, Vec<u64>)> = tenants
+                .iter()
+                .map(|&id| {
+                    let requests = (0..3)
+                        .map(|s| svc.session_whatif_requests(SessionId::new(id, s)))
+                        .collect();
+                    (svc.ibg_stats(id), requests)
+                })
+                .collect();
+            (state, overhead, svc.sched_stats())
         };
         let (base_state, _, base_sched) = run(0, 4);
-        let (epoch_state, epoch_cache, epoch_sched) = run(2, 4);
+        let (epoch_state, epoch_overhead, epoch_sched) = run(2, 4);
         assert_eq!(
             base_state, epoch_state,
             "epochs must not change session state"
@@ -1998,67 +1868,12 @@ mod tests {
         assert!(epoch_sched.epochs > 1, "sched = {epoch_sched:?}");
         assert!(epoch_sched.replans > 0, "sched = {epoch_sched:?}");
         // Worker count may move work between bins but never changes what a
-        // tenant's cache observes.
-        let (solo_state, solo_cache, _) = run(2, 1);
+        // tenant's IBG store and what-if counters observe.
+        let (solo_state, solo_overhead, _) = run(2, 1);
         assert_eq!(epoch_state, solo_state);
-        assert_eq!(epoch_cache, solo_cache);
+        assert_eq!(epoch_overhead, solo_overhead);
         // And the whole epoch ledger replays bit-identically.
         assert_eq!(epoch_sched, run(2, 4).2);
-    }
-
-    /// The working-set controller grows a thrashing cache, respects the
-    /// global budget, and — being a pure function of the event sequence —
-    /// replays to the bit-identical capacity trajectory.
-    #[test]
-    fn adaptive_controller_resizes_deterministically_within_budget() {
-        use simdb::cache::CachePolicy;
-        let run = || {
-            let mut svc = TuningService::with_workers(2).with_cache_budget(64);
-            let handle = db();
-            let id = svc.add_tenant_with(
-                "t",
-                handle.clone(),
-                TenantOptions::default()
-                    .with_cache_capacity(8)
-                    .with_cache_policy(CachePolicy::Arc)
-                    .with_adaptive_cache(AdaptiveCacheConfig {
-                        min_capacity: 4,
-                        max_capacity: 256,
-                    }),
-            );
-            svc.add_session(id, "wfit", wfit_builder);
-            // Structurally distinct shapes; WFIT's config exploration per
-            // statement makes the (stmt, config) working set far exceed
-            // capacity 8, so every round churns the cache.
-            let queries: Vec<_> = [
-                "SELECT b FROM t WHERE a = 1",
-                "SELECT a FROM t WHERE b = 2",
-                "SELECT b FROM t WHERE a < 5",
-                "SELECT a FROM t WHERE b < 9",
-            ]
-            .iter()
-            .map(|sql| Arc::new(handle.parse(sql).unwrap()))
-            .collect();
-            for _ in 0..4 {
-                for q in &queries {
-                    svc.submit(Event::query(id, q.clone()));
-                }
-                svc.poll();
-            }
-            let env = svc.env(id);
-            (
-                env.cache_capacity(),
-                env.shared_cache().unwrap().export().digest(),
-                svc.cache_capacity_total(),
-            )
-        };
-        let (capacity, digest, total) = run();
-        let capacity = capacity.expect("cache stays bounded");
-        assert!(capacity > 8, "a thrashing cache must grow, got {capacity}");
-        assert!(capacity <= 64, "the budget caps growth, got {capacity}");
-        assert_eq!(total, capacity as u64);
-        // Replay-twice bit-identity: same trajectory, same final state.
-        assert_eq!(run(), (Some(capacity), digest, total));
     }
 
     struct PanickyAdvisor {
@@ -2190,8 +2005,6 @@ mod tests {
         assert_eq!(svc.wal_rounds(), 3);
         assert_eq!(svc.persist_fault(), None);
         let expected = state_fingerprint(&svc);
-        let env = svc.env(id);
-        let expected_cache = env.shared_cache().map(|c| c.export().digest());
         let expected_processed = svc.tenant_processed(id);
         drop(svc); // the "crash"
 
@@ -2203,11 +2016,6 @@ mod tests {
         assert_eq!(report.torn_bytes_discarded, 0);
         assert_eq!(restored.wal_rounds(), 3);
         assert_eq!(state_fingerprint(&restored), expected);
-        let renv = restored.env(rid);
-        assert_eq!(
-            renv.shared_cache().map(|c| c.export().digest()),
-            expected_cache
-        );
         assert_eq!(restored.tenant_processed(rid), expected_processed);
 
         // The restored incarnation keeps logging after the recovered

@@ -1,53 +1,24 @@
-//! The per-tenant tuning environment: a shared database handle, the tenant's
-//! shared what-if cost cache, and (optionally) its shared IBG store.
+//! The per-tenant tuning environment: a shared database handle, a
+//! per-session what-if request counter, and (optionally) the tenant's shared
+//! IBG store.
 
 use crate::ibg_store::{IbgStats, IbgStore};
 use ibg::IndexBenefitGraph;
-use simdb::cache::{CacheConfig, CachePolicy, SharedWhatIfCache};
 use simdb::database::Database;
 use simdb::index::{IndexId, IndexSet};
 use simdb::optimizer::PlanCost;
 use simdb::query::Statement;
-use simdb::whatif::WhatIfStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use wfit_core::{SharedIbg, TuningEnv};
 
-/// Bounds of the working-set-driven cache capacity controller (see
-/// `TuningService` in [`crate::daemon`]).  The controller itself lives in
-/// the daemon — it resizes the tenant's shared cache on drain-round
-/// boundaries from the cache's own occupancy/eviction/ghost-hit ledgers,
-/// which makes every decision a pure function of the observed event
-/// sequence (never wall clock) and therefore bit-replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveCacheConfig {
-    /// The controller never shrinks the cache below this many entries.
-    pub min_capacity: usize,
-    /// The controller never grows the cache above this many entries.
-    pub max_capacity: usize,
-}
-
-impl Default for AdaptiveCacheConfig {
-    fn default() -> Self {
-        Self {
-            min_capacity: 8,
-            max_capacity: 4096,
-        }
-    }
-}
-
-/// Knobs of a tenant's environment: how what-if answers are cached and
-/// whether built IBGs are shared across the tenant's sessions.
+/// Knobs of a tenant's environment: whether built IBGs are shared across the
+/// tenant's sessions, and the tenant's ingress depth.
 ///
-/// The default (`unbounded cache, no IBG sharing`) reproduces the historical
-/// service behaviour bit-for-bit; production deployments bound the cache and
-/// enable IBG reuse.
+/// The default (no IBG sharing, the service's ingress limit) reproduces the
+/// historical service behaviour bit-for-bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantOptions {
-    /// Capacity policy of the tenant's shared what-if cache; `None` disables
-    /// the cache entirely (every request runs the optimizer — the control
-    /// arm for cache-effect studies).
-    pub cache: Option<CacheConfig>,
     /// Whether the tenant's sessions share built IBGs through an
     /// [`IbgStore`].
     pub ibg_reuse: bool,
@@ -61,40 +32,19 @@ pub struct TenantOptions {
     /// default, `Some(0)` makes this tenant's queue unbounded, `Some(n)`
     /// caps it at `n` pending events (see [`crate::ingress`]).
     pub ingress_depth: Option<usize>,
-    /// Bounds for the daemon's working-set capacity controller; `None`
-    /// (the default) keeps the cache capacity static.
-    pub adaptive: Option<AdaptiveCacheConfig>,
 }
 
 impl Default for TenantOptions {
     fn default() -> Self {
         Self {
-            cache: Some(CacheConfig::unbounded()),
             ibg_reuse: false,
             ibg_keep_generations: IbgStore::KEEP_GENERATIONS,
             ingress_depth: None,
-            adaptive: None,
         }
     }
 }
 
 impl TenantOptions {
-    /// Bound the shared cache to `capacity` resident entries (0 keeps it
-    /// unbounded).  Any policy already chosen with
-    /// [`TenantOptions::with_cache_policy`] is preserved.
-    pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
-        let policy = self.cache.map(|c| c.policy).unwrap_or_default();
-        self.cache = Some(
-            if capacity == 0 {
-                CacheConfig::unbounded()
-            } else {
-                CacheConfig::bounded(capacity)
-            }
-            .with_policy(policy),
-        );
-        self
-    }
-
     /// Enable or disable cross-session IBG sharing.
     pub fn with_ibg_reuse(mut self, reuse: bool) -> Self {
         self.ibg_reuse = reuse;
@@ -118,35 +68,19 @@ impl TenantOptions {
         self.ingress_depth = Some(depth);
         self
     }
-
-    /// Select the shared cache's eviction policy (CLOCK or scan-resistant
-    /// ARC), keeping any capacity already set by
-    /// [`TenantOptions::with_cache_capacity`].  A policy on an unbounded
-    /// (or disabled) cache is inert but preserved, so builder order does
-    /// not matter.
-    pub fn with_cache_policy(mut self, policy: CachePolicy) -> Self {
-        let config = self.cache.unwrap_or_else(CacheConfig::unbounded);
-        self.cache = Some(config.with_policy(policy));
-        self
-    }
-
-    /// Let the daemon's working-set controller resize this tenant's cache
-    /// on drain-round boundaries, within `config`'s bounds.
-    pub fn with_adaptive_cache(mut self, config: AdaptiveCacheConfig) -> Self {
-        self.adaptive = Some(config);
-        self
-    }
 }
 
 /// A cloneable, owned [`TuningEnv`] over one tenant's database.
 ///
 /// Every clone shares the same [`Database`] and (optionally) the same
-/// [`SharedWhatIfCache`] and [`IbgStore`], so all sessions of a tenant
-/// answer what-if questions out of one memo and reuse each other's IBG node
-/// expansions.  Each *session* gets its own clone with a fresh request
-/// counter (see [`TenantEnv::fork_counter`]), which is how the service
-/// attributes what-if traffic to individual sessions even though the cache
-/// is shared.
+/// [`IbgStore`], so all sessions of a tenant reuse each other's IBG node
+/// expansions.  What-if questions go straight to the optimizer
+/// ([`Database::whatif_cost_uncached`]): the paper measures tuning overhead
+/// as the *number* of what-if calls (§6.2), and a call costs about as much
+/// as a memo lookup would, so the environment keeps no cost memo.  Each
+/// *session* gets its own clone with a fresh request counter (see
+/// [`TenantEnv::fork_counter`]), which is how the service attributes what-if
+/// traffic to individual sessions.
 ///
 /// Because the handle is `Arc`-backed it is `'static`, `Send` and `Sync`:
 /// advisors built over it can live inside a long-running service and migrate
@@ -155,19 +89,15 @@ impl TenantOptions {
 #[derive(Clone)]
 pub struct TenantEnv {
     db: Arc<Database>,
-    cache: Option<Arc<SharedWhatIfCache>>,
     ibg_store: Option<Arc<IbgStore>>,
     whatif_requests: Arc<AtomicU64>,
 }
 
 impl TenantEnv {
-    /// An environment with the given cache/IBG-sharing policy.
+    /// An environment with the given IBG-sharing policy.
     pub fn with_options(db: Arc<Database>, options: TenantOptions) -> Self {
         Self {
             db,
-            cache: options
-                .cache
-                .map(|config| Arc::new(SharedWhatIfCache::with_config(config))),
             ibg_store: options.ibg_reuse.then(|| {
                 Arc::new(IbgStore::with_keep_generations(
                     options.ibg_keep_generations,
@@ -177,30 +107,11 @@ impl TenantEnv {
         }
     }
 
-    /// An environment answering what-if questions through an unbounded
-    /// shared cache (no IBG sharing).
-    pub fn cached(db: Arc<Database>) -> Self {
-        Self::with_options(db, TenantOptions::default())
-    }
-
-    /// An environment that always runs the optimizer (no shared cache) —
-    /// the control arm for cache-effect measurements.
-    pub fn uncached(db: Arc<Database>) -> Self {
-        Self::with_options(
-            db,
-            TenantOptions {
-                cache: None,
-                ..TenantOptions::default()
-            },
-        )
-    }
-
-    /// A clone sharing the database, cache and IBG store but carrying a
-    /// **fresh** what-if request counter.  The service forks one per session.
+    /// A clone sharing the database and IBG store but carrying a **fresh**
+    /// what-if request counter.  The service forks one per session.
     pub fn fork_counter(&self) -> Self {
         Self {
             db: self.db.clone(),
-            cache: self.cache.clone(),
             ibg_store: self.ibg_store.clone(),
             whatif_requests: Arc::new(AtomicU64::new(0)),
         }
@@ -209,12 +120,6 @@ impl TenantEnv {
     /// The underlying database.
     pub fn database(&self) -> &Arc<Database> {
         &self.db
-    }
-
-    /// Counters of the tenant's shared cache ([`WhatIfStats::default`] when
-    /// the environment is uncached).
-    pub fn cache_stats(&self) -> WhatIfStats {
-        self.cache.as_ref().map(|c| c.stats()).unwrap_or_default()
     }
 
     /// Counters of the tenant's IBG store ([`IbgStats::default`] when IBG
@@ -226,20 +131,9 @@ impl TenantEnv {
             .unwrap_or_default()
     }
 
-    /// Whether a shared cache is attached.
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
     /// Whether an IBG store is attached.
     pub fn shares_ibgs(&self) -> bool {
         self.ibg_store.is_some()
-    }
-
-    /// The shared cache's capacity bound (`None` when uncached or
-    /// unbounded).
-    pub fn cache_capacity(&self) -> Option<usize> {
-        self.cache.as_ref().and_then(|c| c.capacity())
     }
 
     /// Advance the IBG store's generation (a no-op without a store).  The
@@ -257,12 +151,6 @@ impl TenantEnv {
         self.whatif_requests.load(Ordering::Relaxed)
     }
 
-    /// The tenant's shared what-if cache, when one is attached.  The
-    /// persistence layer exports/verifies it through this handle.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedWhatIfCache>> {
-        self.cache.as_ref()
-    }
-
     /// The tenant's shared IBG store, when IBG sharing is on.
     pub fn ibg_store(&self) -> Option<&Arc<IbgStore>> {
         self.ibg_store.as_ref()
@@ -272,14 +160,7 @@ impl TenantEnv {
 impl TuningEnv for TenantEnv {
     fn whatif(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         self.whatif_requests.fetch_add(1, Ordering::Relaxed);
-        match &self.cache {
-            Some(cache) => cache.get_or_compute(stmt.fingerprint, config, || {
-                self.db.whatif_cost_uncached(stmt, config)
-            }),
-            // Bypass the database's own cache as well, so cached and
-            // uncached runs differ only in memoization, never in results.
-            None => self.db.whatif_cost_uncached(stmt, config),
-        }
+        self.db.whatif_cost_uncached(stmt, config)
     }
 
     fn ibg(&self, stmt: &Statement, relevant: IndexSet) -> SharedIbg {
@@ -334,82 +215,28 @@ mod tests {
     }
 
     #[test]
-    fn cached_env_memoizes_and_counts() {
+    fn forks_count_their_own_requests_and_answer_the_optimizer() {
         let db = db();
-        let env = TenantEnv::cached(db.clone());
-        let q = db.parse("SELECT b FROM t WHERE a = 1").unwrap();
-        let e = IndexSet::empty();
-        let c1 = env.cost(&q, &e);
-        let c2 = env.cost(&q, &e);
-        assert_eq!(c1, c2);
-        let stats = env.cache_stats();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.optimizer_calls, 1);
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(env.whatif_requests(), 2);
-        assert_eq!(env.cache_capacity(), None, "default cache is unbounded");
-        assert!(!env.shares_ibgs(), "IBG sharing is opt-in");
-    }
-
-    #[test]
-    fn forked_counters_share_the_cache() {
-        let db = db();
-        let env = TenantEnv::cached(db.clone());
+        let env = TenantEnv::with_options(db.clone(), TenantOptions::default());
         let fork_a = env.fork_counter();
         let fork_b = env.fork_counter();
-        let q = db.parse("SELECT b FROM t WHERE a = 2").unwrap();
-        fork_a.cost(&q, &IndexSet::empty());
-        // The second session hits the entry the first one computed.
-        fork_b.cost(&q, &IndexSet::empty());
-        assert_eq!(fork_a.whatif_requests(), 1);
-        assert_eq!(fork_b.whatif_requests(), 1);
-        assert_eq!(env.whatif_requests(), 0);
-        let stats = env.cache_stats();
-        assert_eq!(stats.cache_hits, 1);
-    }
-
-    #[test]
-    fn cached_and_uncached_costs_agree() {
-        let db = db();
-        let cached = TenantEnv::cached(db.clone());
-        let uncached = TenantEnv::uncached(db.clone());
-        assert!(!uncached.is_cached() && cached.is_cached());
-        let q = db.parse("SELECT b FROM t WHERE a = 3").unwrap();
-        let e = IndexSet::empty();
-        assert_eq!(cached.cost(&q, &e), uncached.cost(&q, &e));
-        assert_eq!(uncached.cache_stats(), WhatIfStats::default());
-    }
-
-    #[test]
-    fn bounded_env_evicts_but_answers_identically() {
-        let db = db();
-        let bounded =
-            TenantEnv::with_options(db.clone(), TenantOptions::default().with_cache_capacity(2));
-        let uncached = TenantEnv::uncached(db.clone());
-        assert_eq!(bounded.cache_capacity(), Some(2));
         let q = db.parse("SELECT b FROM t WHERE a = 1").unwrap();
-        let ia = db.define_index("t", &["a"]).unwrap();
-        let ib = db.define_index("t", &["b"]).unwrap();
-        let iab = db.define_index("t", &["a", "b"]).unwrap();
-        let configs = [
-            IndexSet::empty(),
-            IndexSet::single(ia),
-            IndexSet::single(ib),
-            IndexSet::single(iab),
-            IndexSet::from_iter([ia, ib]),
-            IndexSet::from_iter([ia, iab]),
-        ];
-        // Two passes over a working set of 6 > capacity 2: evictions happen,
-        // every answer still equals the uncached oracle.
-        for _ in 0..2 {
-            for config in &configs {
-                assert_eq!(bounded.cost(&q, config), uncached.cost(&q, config));
-            }
+        let idx = db.define_index("t", &["a"]).unwrap();
+        for config in [IndexSet::empty(), IndexSet::single(idx)] {
+            let oracle = db.whatif_cost_uncached(&q, &config).total;
+            assert_eq!(fork_a.cost(&q, &config).to_bits(), oracle.to_bits());
+            assert_eq!(fork_a.cost(&q, &config).to_bits(), oracle.to_bits());
         }
-        let stats = bounded.cache_stats();
-        assert!(stats.evictions > 0, "stats = {stats:?}");
-        assert!(stats.entries <= 2);
+        fork_b.cost(&q, &IndexSet::empty());
+        assert_eq!(fork_a.whatif_requests(), 4, "every request is counted");
+        assert_eq!(fork_b.whatif_requests(), 1);
+        assert_eq!(env.whatif_requests(), 0, "forks never share a counter");
+        assert_eq!(
+            db.whatif_stats().requests,
+            0,
+            "the database's own memo stays untouched"
+        );
+        assert!(!env.shares_ibgs(), "IBG sharing is opt-in");
     }
 
     #[test]
@@ -436,7 +263,8 @@ mod tests {
         assert_eq!(env.ibg_stats().reuses, 1);
 
         // The reused graph answers exactly like a fresh build.
-        let fresh = TenantEnv::cached(db.clone()).ibg(&q, relevant.clone());
+        let fresh =
+            TenantEnv::with_options(db.clone(), TenantOptions::default()).ibg(&q, relevant.clone());
         for config in [IndexSet::empty(), relevant.clone()] {
             assert_eq!(
                 second.graph.cost(&config).to_bits(),
@@ -489,6 +317,6 @@ mod tests {
         assert_eq!(env.ibg_stats().entries, 0);
         assert_eq!(env.ibg_stats().retired, 1);
         // A no-op on environments without a store.
-        TenantEnv::cached(db).advance_ibg_generation();
+        TenantEnv::with_options(db, TenantOptions::default()).advance_ibg_generation();
     }
 }

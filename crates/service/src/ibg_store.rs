@@ -5,8 +5,8 @@
 //! candidate sets — so without sharing, a three-session fleet expands every
 //! graph three times.  The [`IbgStore`] interns built graphs by
 //! `(statement fingerprint, relevant candidate set)`: the first session to
-//! analyze a statement pays for the node expansions (each a what-if call
-//! against the tenant's shared cost cache), and every later session with the
+//! analyze a statement pays for the node expansions (each a what-if call),
+//! and every later session with the
 //! same key gets the finished graph back as an `Arc` clone.
 //!
 //! Sharing is sound because a graph is a pure function of its key under the

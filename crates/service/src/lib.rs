@@ -6,14 +6,13 @@
 //! [`TuningService`] owns:
 //!
 //! * a **tenant registry** — each tenant is one database
-//!   ([`simdb::Database`] behind an `Arc`) plus a
-//!   [`simdb::cache::SharedWhatIfCache`] shared by all of the tenant's
-//!   sessions (optionally capacity-bounded with deterministic CLOCK
-//!   eviction, see [`simdb::cache::CacheConfig`]), and optionally an
-//!   [`IbgStore`] interning built index benefit graphs by statement
-//!   fingerprint so concurrent sessions reuse node expansions
-//!   ([`TenantOptions`]) — redundant what-if optimization across sessions
-//!   collapses into cache hits and graph reuses;
+//!   ([`simdb::Database`] behind an `Arc`), and optionally an [`IbgStore`]
+//!   interning built index benefit graphs by statement fingerprint so
+//!   concurrent sessions reuse node expansions ([`TenantOptions`]).  What-if
+//!   calls are **counted, not memoized**: the paper measures tuning overhead
+//!   as the number of what-if calls per statement (§6.2), each session's
+//!   [`TenantEnv`] carries its own request counter, and every request runs
+//!   the optimizer directly;
 //! * a fleet of **tuning sessions** per tenant — each a
 //!   [`wfit_core::TuningSession`] driving any boxed
 //!   [`wfit_core::IndexAdvisor`] (WFIT, BC, …) over the tenant's
@@ -26,7 +25,7 @@
 //!   [`TuningService::poll`] rounds ([`TuningService::process_pending`]
 //!   loops rounds until empty); with [`TuningService::with_batch_size`]
 //!   runs of consecutive queries are coalesced and processed session-major
-//!   against one warmed cache generation (votes always close a batch);
+//!   against one warmed IBG generation (votes always close a batch);
 //!   with [`TuningService::with_ingress`] the ingress is **bounded**
 //!   ([`IngressConfig`]): an admission gate enforces per-tenant and global
 //!   depth budgets, [`TuningService::try_submit`] reports
@@ -41,24 +40,19 @@
 //!   from the queue-depth snapshot, and a worker that would idle takes
 //!   whole *session-runs* from the most-loaded bin, so one hot tenant no
 //!   longer serializes behind a single thread;
-//! * **adaptive self-tuning** (opt-in) — a tenant can select the
-//!   scan-resistant ARC cache policy
-//!   ([`TenantOptions::with_cache_policy`]), let the daemon's working-set
-//!   controller resize its cache at drain-round boundaries from the
-//!   cache's own eviction/ghost-hit ledgers ([`AdaptiveCacheConfig`],
-//!   globally bounded by [`TuningService::with_cache_budget`]), and rounds
-//!   can re-plan at epoch boundaries cut every K completed session-runs
+//! * **epoch re-planning** (opt-in) — rounds can re-plan at epoch
+//!   boundaries cut every K completed session-runs
 //!   ([`TuningService::with_epoch_runs`], [`scheduler::epoch_plan`])
 //!   against the actual weight each worker absorbed — every decision is a
-//!   pure function of observed event counts, so the whole control loop
-//!   replays bit-identically.
+//!   pure function of observed event counts, so the whole schedule replays
+//!   bit-identically.
 //!
 //! Per-session results are bit-deterministic: every session processes its
 //! tenant's events in submission order (stealing moves whole session-runs,
 //! never splits one), the steal plan is a pure function of queue depths,
-//! and the shared cache returns exactly what the optimizer would —
-//! parallelism only changes wall-clock numbers ([`BatchReport`]), never
-//! recommendations or costs.
+//! and a reused IBG answers exactly like a fresh build — parallelism only
+//! changes wall-clock numbers ([`BatchReport`]), never recommendations or
+//! costs.
 //!
 //! ## Quickstart
 //!
@@ -99,9 +93,8 @@
 //! // The session has converged on an index for the hot predicate.
 //! let recommendation = service.recommendation(session);
 //! assert!(!recommendation.is_empty());
-//! // Repeated analysis of the same statement is answered from the tenant's
-//! // shared what-if cache.
-//! assert!(service.cache_stats(tenant).hit_rate() > 0.5);
+//! // The session's what-if traffic is counted per session.
+//! assert!(service.session_whatif_requests(session) > 0);
 //! # assert_eq!(session, SessionId::new(tenant, 0));
 //! ```
 
@@ -117,7 +110,7 @@ pub mod persist;
 pub mod scheduler;
 
 pub use daemon::{BatchReport, ServiceSession, TuningService};
-pub use env::{AdaptiveCacheConfig, TenantEnv, TenantOptions};
+pub use env::{TenantEnv, TenantOptions};
 pub use event::{Event, SessionId, TenantId};
 pub use ibg_store::{IbgStats, IbgStore};
 pub use ingress::{

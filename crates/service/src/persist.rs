@@ -1,15 +1,15 @@
 //! Durable service state: deterministic snapshot + append-only event WAL.
 //!
-//! The service's in-memory state (advisor partitions, vote history, shared
-//! what-if caches, IBG stores, admission ledgers) is a pure function of the
+//! The service's in-memory state (advisor partitions, vote history, IBG
+//! stores, admission ledgers) is a pure function of the
 //! event sequence each drain round executed — that is the house
 //! bit-determinism invariant.  Persistence therefore logs **events**, not
 //! state: every [`crate::TuningService::poll`] round appends the drained
 //! per-tenant runs to an append-only WAL *before* any of their effects
 //! become visible, and recovery replays the log through the exact same
 //! execution path.  The snapshot is a *checkpoint manifest*: it pins the
-//! observable state at a known round (full cache exports, digests of
-//! per-session accounting) so a restore can verify that replay reconverged
+//! observable state at a known round (digests of per-session accounting and
+//! IBG stores) so a restore can verify that replay reconverged
 //! bit-for-bit, and it carries the few ledger counters replay cannot
 //! re-derive (shed/deferred/rejected outcomes never produce a drained
 //! event, so they never reach the log).
@@ -43,7 +43,6 @@
 //! discarded as a torn tail, which is the documented contract.
 
 use crate::event::Event;
-use simdb::cache::{CacheExport, CachePolicy, ShardExport, SlotExport};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
@@ -55,8 +54,9 @@ pub const WAL_FILE: &str = "events.wal";
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"WFITWAL1";
-/// Snapshot manifest format version.
-pub const SNAPSHOT_VERSION: u64 = 1;
+/// Snapshot manifest format version.  Version 1 manifests also carried a
+/// full what-if cache export per tenant; they are refused, not half-read.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Why a persistence operation failed.  Recovery paths return these as
 /// typed errors — corruption and divergence are reported, never panicked.
@@ -125,8 +125,7 @@ fn io_err(op: &str, source: std::io::Error) -> PersistError {
 }
 
 /// Incremental FNV-1a 64-bit hasher — the workspace's deterministic,
-/// dependency-free digest (the same construction `simdb`'s cache export
-/// uses).  Fields are length-prefixed by the callers that need framing.
+/// dependency-free digest.  Fields are length-prefixed by the callers that need framing.
 #[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
@@ -490,8 +489,8 @@ pub struct SessionDigest {
 }
 
 /// One tenant's slice of the snapshot: configuration echo, the admission
-/// ledger's non-replayable counters, the full what-if cache export, the IBG
-/// store digest, and per-session digests.
+/// ledger's non-replayable counters, the IBG store digest, and per-session
+/// digests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSnapshot {
     /// Tenant display name (configuration echo).
@@ -503,10 +502,6 @@ pub struct TenantSnapshot {
     pub deferred: u64,
     /// Rejected submissions (producer-side bookkeeping, not replayable).
     pub rejected: u64,
-    /// Full export of the tenant's shared what-if cache (slots, CLOCK
-    /// reference bits and hands, interners, hit/miss counters), when the
-    /// tenant has one.
-    pub cache: Option<CacheExport>,
     /// Digest of the tenant's IBG store keys and counters, when present.
     pub ibg_digest: Option<u64>,
     /// Per-session state digests, in registration order.
@@ -527,8 +522,6 @@ pub struct Snapshot {
     pub steal: bool,
     /// Epoch re-planning configuration echo (0 = single-shot plans).
     pub epoch_runs: u64,
-    /// Global adaptive-cache memory budget echo (0 = unlimited).
-    pub cache_budget: u64,
     /// Global ingress high-water mark (not replayable round-by-round).
     pub peak_pending: u64,
     /// Scheduler ledger echo, verified after replay: non-empty rounds.
@@ -577,7 +570,6 @@ impl Snapshot {
             ("batch_size", Json::Num(self.batch_size as f64)),
             ("steal", Json::Bool(self.steal)),
             ("epoch_runs", Json::Num(self.epoch_runs as f64)),
-            ("cache_budget", Json::Num(self.cache_budget as f64)),
             ("peak_pending", Json::Num(self.peak_pending as f64)),
             ("sched_rounds", Json::Num(self.sched_rounds as f64)),
             (
@@ -610,7 +602,6 @@ impl Snapshot {
             batch_size: get_u64(doc, "batch_size")?,
             steal: get_bool(doc, "steal")?,
             epoch_runs: get_u64(doc, "epoch_runs")?,
-            cache_budget: get_u64(doc, "cache_budget")?,
             peak_pending: get_u64(doc, "peak_pending")?,
             sched_rounds: get_u64(doc, "sched_rounds")?,
             sched_session_runs: get_u64(doc, "sched_session_runs")?,
@@ -632,9 +623,6 @@ fn tenant_to_json(t: &TenantSnapshot) -> Json {
         ("deferred", Json::Num(t.deferred as f64)),
         ("rejected", Json::Num(t.rejected as f64)),
     ];
-    if let Some(cache) = &t.cache {
-        fields.push(("cache", cache_to_json(cache)));
-    }
     if let Some(digest) = t.ibg_digest {
         fields.push(("ibg_digest", hex(digest)));
     }
@@ -651,7 +639,6 @@ fn tenant_from_json(doc: &Json) -> Result<TenantSnapshot, PersistError> {
         shed: get_u64(doc, "shed")?,
         deferred: get_u64(doc, "deferred")?,
         rejected: get_u64(doc, "rejected")?,
-        cache: doc.get("cache").map(cache_from_json).transpose()?,
         ibg_digest: doc.get("ibg_digest").map(parse_hex).transpose()?,
         sessions: get_arr(doc, "sessions")?
             .iter()
@@ -691,133 +678,6 @@ fn session_from_json(doc: &Json) -> Result<SessionDigest, PersistError> {
         materialized: u32_vec(doc, "materialized")?,
         series_len: get_u64(doc, "series_len")?,
         series_digest: get_hex(doc, "series_digest")?,
-    })
-}
-
-fn cache_to_json(c: &CacheExport) -> Json {
-    let shards = c
-        .shards
-        .iter()
-        .map(|s| {
-            let slots = s
-                .slots
-                .iter()
-                .map(|slot| {
-                    Json::obj(vec![
-                        ("stmt", Json::Num(slot.stmt as f64)),
-                        ("config", Json::Num(slot.config as f64)),
-                        ("total", hex(slot.total_bits)),
-                        ("used", u32_array(&slot.used_indexes)),
-                        ("desc", Json::Str(slot.description.clone())),
-                        ("ref", Json::Bool(slot.referenced)),
-                    ])
-                })
-                .collect();
-            Json::obj(vec![
-                ("hand", Json::Num(s.hand as f64)),
-                ("slots", Json::Arr(slots)),
-                ("p", Json::Num(s.p as f64)),
-                ("t1_len", Json::Num(s.t1_len as f64)),
-                ("b1", ghost_array(&s.b1)),
-                ("b2", ghost_array(&s.b2)),
-            ])
-        })
-        .collect();
-    Json::obj(vec![
-        ("capacity", Json::Num(c.capacity as f64)),
-        ("policy", Json::Str(c.policy.name().to_string())),
-        ("live_capacity", Json::Num(c.live_capacity as f64)),
-        (
-            "statements",
-            Json::Arr(c.statements.iter().map(|&f| hex(f)).collect()),
-        ),
-        (
-            "configs",
-            Json::Arr(c.configs.iter().map(|cfg| u32_array(cfg)).collect()),
-        ),
-        ("shards", Json::Arr(shards)),
-        ("requests", Json::Num(c.requests as f64)),
-        ("optimizer_calls", Json::Num(c.optimizer_calls as f64)),
-        ("cache_hits", Json::Num(c.cache_hits as f64)),
-        ("evictions", Json::Num(c.evictions as f64)),
-        ("ghost_hits", Json::Num(c.ghost_hits as f64)),
-        ("policy_promotions", Json::Num(c.policy_promotions as f64)),
-    ])
-}
-
-/// ARC ghost list as an array of `[stmt, config]` id pairs.
-fn ghost_array(ghosts: &[(u32, u32)]) -> Json {
-    Json::Arr(
-        ghosts
-            .iter()
-            .map(|&(s, c)| Json::Arr(vec![Json::Num(s as f64), Json::Num(c as f64)]))
-            .collect(),
-    )
-}
-
-fn ghost_vec(doc: &Json, key: &str) -> Result<Vec<(u32, u32)>, PersistError> {
-    get_arr(doc, key)?
-        .iter()
-        .map(|pair| {
-            let ids = json_u32_vec(pair)?;
-            if ids.len() != 2 {
-                return Err(PersistError::Corrupt(format!(
-                    "field {key:?}: ghost entry must be a [stmt, config] pair"
-                )));
-            }
-            Ok((ids[0], ids[1]))
-        })
-        .collect()
-}
-
-fn cache_from_json(doc: &Json) -> Result<CacheExport, PersistError> {
-    let statements = get_arr(doc, "statements")?
-        .iter()
-        .map(parse_hex)
-        .collect::<Result<_, _>>()?;
-    let configs = get_arr(doc, "configs")?
-        .iter()
-        .map(json_u32_vec)
-        .collect::<Result<_, _>>()?;
-    let mut shards = Vec::new();
-    for shard in get_arr(doc, "shards")? {
-        let mut slots = Vec::new();
-        for slot in get_arr(shard, "slots")? {
-            slots.push(SlotExport {
-                stmt: get_u64(slot, "stmt")? as u32,
-                config: get_u64(slot, "config")? as u32,
-                total_bits: get_hex(slot, "total")?,
-                used_indexes: u32_vec(slot, "used")?,
-                description: get_str(slot, "desc")?,
-                referenced: get_bool(slot, "ref")?,
-            });
-        }
-        shards.push(ShardExport {
-            hand: get_u64(shard, "hand")?,
-            slots,
-            p: get_u64(shard, "p")?,
-            t1_len: get_u64(shard, "t1_len")?,
-            b1: ghost_vec(shard, "b1")?,
-            b2: ghost_vec(shard, "b2")?,
-        });
-    }
-    let policy_name = get_str(doc, "policy")?;
-    let policy = CachePolicy::parse(&policy_name).ok_or_else(|| {
-        PersistError::Corrupt(format!("unknown cache policy {policy_name:?} in snapshot"))
-    })?;
-    Ok(CacheExport {
-        capacity: get_u64(doc, "capacity")?,
-        policy,
-        live_capacity: get_u64(doc, "live_capacity")?,
-        statements,
-        configs,
-        shards,
-        requests: get_u64(doc, "requests")?,
-        optimizer_calls: get_u64(doc, "optimizer_calls")?,
-        cache_hits: get_u64(doc, "cache_hits")?,
-        evictions: get_u64(doc, "evictions")?,
-        ghost_hits: get_u64(doc, "ghost_hits")?,
-        policy_promotions: get_u64(doc, "policy_promotions")?,
     })
 }
 
@@ -1041,7 +901,6 @@ mod tests {
             batch_size: 8,
             steal: false,
             epoch_runs: 2,
-            cache_budget: 256,
             peak_pending: 12,
             sched_rounds: 7,
             sched_session_runs: 21,
@@ -1053,7 +912,6 @@ mod tests {
                 shed: 3,
                 deferred: 1,
                 rejected: 0,
-                cache: None,
                 ibg_digest: Some(0xDEAD_BEEF_0123_4567),
                 sessions: vec![SessionDigest {
                     label: "wfit".into(),

@@ -28,12 +28,13 @@
 //!    computed from the depth snapshot before any event is processed, never
 //!    from wall-clock progress, so steal counters are golden-testable.
 //!
-//! What stealing deliberately does *not* promise: with a shared what-if
-//! cache or IBG store, concurrently-running session-runs of one tenant race
-//! on the memo, so the hit/miss (and build/reuse) *split* of those overhead
-//! counters becomes timing-dependent.  Costs never change — the cache is
-//! transparent — and with stealing disabled the historical sequential drain
-//! (and all its counters) is reproduced exactly.
+//! What stealing deliberately does *not* promise: with a shared IBG store,
+//! concurrently-running session-runs of one tenant race on it, so the
+//! build/reuse *split* of its counters (and with it the per-session
+//! what-if counts) becomes timing-dependent.  Costs never change — a reused
+//! graph is identical to a fresh build — and with stealing disabled the
+//! historical sequential drain (and all its counters) is reproduced
+//! exactly.
 
 /// Scheduling knobs of one drain round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,7 +199,7 @@ impl SchedStats {
 /// starting at `first_session`, all on one worker.  Keeping a tenant's
 /// segment-runs on a single worker (and tenants unique within a segment)
 /// means a tenant's sessions never execute concurrently in epoch mode — its
-/// shared-cache counters stay a pure function of the event order even with
+/// IBG-store counters stay a pure function of the event order even with
 /// many workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochChunk {

@@ -111,9 +111,10 @@ impl Database {
 
     /// What-if optimization bypassing the database's own cache.
     ///
-    /// This is the entry point for callers that bring their *own* memoization
-    /// layer (e.g. a per-tenant [`crate::cache::SharedWhatIfCache`] shared by
-    /// several tuning sessions) and do not want every result stored twice.
+    /// This is the entry point for callers that only *count* what-if calls
+    /// (the multi-tenant service's per-session counters) and want no result
+    /// stored: a repeated call costs about as much as a memo lookup, so a
+    /// long-running service keeps no what-if state at all.
     pub fn whatif_cost_uncached(&self, stmt: &Statement, config: &IndexSet) -> PlanCost {
         let registry = self.registry.read();
         let optimizer = Optimizer::new(&self.catalog, &registry, &self.cost_config);

@@ -31,9 +31,6 @@
 //!   graph);
 //! * [`whatif`] — a caching, call-counting façade (the paper reports
 //!   what-if call counts as an overhead metric);
-//! * [`cache`] — a concurrent, interned what-if cost cache shared across all
-//!   tuning sessions of a tenant (the scaling layer the multi-tenant service
-//!   in `crates/service` builds on);
 //! * [`extract`] — `extractIndices(q)`.
 //!
 //! ## Quick example
@@ -63,7 +60,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod cache;
 pub mod catalog;
 pub mod cost;
 pub mod database;
@@ -77,7 +73,6 @@ pub mod sql;
 pub mod types;
 pub mod whatif;
 
-pub use cache::SharedWhatIfCache;
 pub use catalog::{Catalog, CatalogBuilder};
 pub use database::Database;
 pub use error::{Error, Result};

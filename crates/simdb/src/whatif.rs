@@ -24,19 +24,8 @@ pub struct WhatIfStats {
     pub optimizer_calls: u64,
     /// Number of requests answered from the cache.
     pub cache_hits: u64,
-    /// Number of entries evicted to honor a capacity bound (0 for unbounded
-    /// caches).
-    pub evictions: u64,
     /// Number of entries resident at snapshot time (occupancy).
     pub entries: u64,
-    /// Misses whose key was still remembered by an ARC ghost list — the
-    /// "evicted too early" signal (0 for unbounded and CLOCK caches).
-    #[serde(default)]
-    pub ghost_hits: u64,
-    /// Hits promoted from the ARC recency list T1 into the protected
-    /// frequency list T2 (0 for unbounded and CLOCK caches).
-    #[serde(default)]
-    pub policy_promotions: u64,
 }
 
 impl WhatIfStats {
@@ -51,19 +40,16 @@ impl WhatIfStats {
     }
 
     /// Merge counters from another stats snapshot (used to aggregate the
-    /// per-tenant caches of a multi-tenant service, and the per-shard
-    /// snapshots of a sharded cache).  Field-wise addition, so the operation
-    /// is associative and commutative with [`WhatIfStats::default`] as the
-    /// identity — aggregation order can never change a report.
+    /// per-tenant counters of a multi-tenant service).  Field-wise addition,
+    /// so the operation is associative and commutative with
+    /// [`WhatIfStats::default`] as the identity — aggregation order can never
+    /// change a report.
     pub fn merge(&self, other: &WhatIfStats) -> WhatIfStats {
         WhatIfStats {
             requests: self.requests + other.requests,
             optimizer_calls: self.optimizer_calls + other.optimizer_calls,
             cache_hits: self.cache_hits + other.cache_hits,
-            evictions: self.evictions + other.evictions,
             entries: self.entries + other.entries,
-            ghost_hits: self.ghost_hits + other.ghost_hits,
-            policy_promotions: self.policy_promotions + other.policy_promotions,
         }
     }
 }
@@ -106,17 +92,13 @@ impl WhatIfCache {
         value
     }
 
-    /// Current counter values.  This per-database memo never evicts, so
-    /// `evictions` is always 0 and `entries` mirrors [`WhatIfCache::len`].
+    /// Current counter values (`entries` mirrors [`WhatIfCache::len`]).
     pub fn stats(&self) -> WhatIfStats {
         WhatIfStats {
             requests: self.requests.load(Ordering::Relaxed),
             optimizer_calls: self.optimizer_calls.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            evictions: 0,
             entries: self.len() as u64,
-            ghost_hits: 0,
-            policy_promotions: 0,
         }
     }
 

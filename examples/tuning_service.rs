@@ -1,12 +1,10 @@
 //! The multi-tenant tuning service end to end: eight tenants, each an
 //! independent benchmark workload stream, served concurrently by one
-//! `TuningService` — a WFIT session and a BC session per tenant, both
-//! answering what-if questions out of the tenant's shared cost cache.
-//! The hot-path knobs are all on: each tenant's cache is capacity-bounded
-//! (deterministic CLOCK eviction), built IBGs are shared across the
-//! tenant's sessions, the drain coalesces queries into session-major
-//! batches, and the work-stealing scheduler spreads a hot tenant's
-//! session-runs across idle workers.
+//! `TuningService` — a WFIT session and a BC session per tenant, each
+//! with its own what-if request counter.  The hot-path knobs are all on:
+//! built IBGs are shared across the tenant's sessions, the drain coalesces
+//! queries into session-major batches, and the work-stealing scheduler
+//! spreads a hot tenant's session-runs across idle workers.
 //!
 //! The second act demonstrates **async ingestion**: a producer thread keeps
 //! submitting events through a cloned `ServiceHandle` while the main thread
@@ -22,13 +20,10 @@
 //! snapshot — and a freshly assembled host restores from disk to the exact
 //! pre-crash state, then finishes the workload.
 //!
-//! The fifth act demonstrates **adaptive self-tuning**: deliberately
-//! undersized tenant caches run the scan-resistant ARC policy, the
-//! working-set controller grows them at drain-round boundaries from their
-//! own eviction/ghost-hit ledgers (under a global budget), and the drain
-//! re-plans at epoch boundaries so a hot tenant's session-runs stop
-//! lumping onto one worker — all of it a pure function of event counts,
-//! so the control loop replays bit-identically.
+//! The fifth act demonstrates **epoch re-planning**: the drain re-plans at
+//! epoch boundaries so a hot tenant's session-runs stop lumping onto one
+//! worker — a pure function of event counts, so the schedule replays
+//! bit-identically.
 //!
 //! Run with `cargo run --release --example tuning_service`.
 
@@ -42,8 +37,6 @@ use wfit::{IndexSet, Wfit, WfitConfig};
 
 const TENANTS: usize = 8;
 const STATEMENTS_PER_PHASE: usize = 8;
-/// Per-tenant cap on resident what-if plan costs.
-const CACHE_CAPACITY: usize = 256;
 /// Consecutive queries coalesced into one session-major batch.
 const BATCH_SIZE: usize = 8;
 /// Worker threads (pinned, not host-derived, so the work-stealing plan is
@@ -71,9 +64,7 @@ fn main() {
         let tenant = service.add_tenant_with(
             format!("tenant-{t}"),
             db,
-            TenantOptions::default()
-                .with_cache_capacity(CACHE_CAPACITY)
-                .with_ibg_reuse(true),
+            TenantOptions::default().with_ibg_reuse(true),
         );
         let partition = selection.partition.clone();
         service.add_session(tenant, "wfit", move |env| {
@@ -165,16 +156,9 @@ fn main() {
         batch.p50_us(),
         batch.p99_us(),
     );
-    let cache = service.aggregate_cache_stats();
     println!(
-        "shared what-if caches: {} requests, {} optimizer runs, hit rate {:.3}",
-        cache.requests,
-        cache.optimizer_calls,
-        cache.hit_rate()
-    );
-    println!(
-        "cache bounding: {} entries resident (≤ {} per tenant), {} evicted",
-        cache.entries, CACHE_CAPACITY, cache.evictions
+        "what-if requests: {} across all sessions",
+        service.aggregate_cache_stats().requests
     );
     let ibg = service.aggregate_ibg_stats();
     println!(
@@ -222,11 +206,7 @@ fn main() {
             phases: wfit::workload::default_phases(),
         });
         let Benchmark { db, statements, .. } = bench;
-        let tenant = bounded.add_tenant_with(
-            format!("bounded-{t}"),
-            Arc::new(db),
-            TenantOptions::default().with_cache_capacity(CACHE_CAPACITY),
-        );
+        let tenant = bounded.add_tenant(format!("bounded-{t}"), Arc::new(db));
         bounded.add_session(tenant, "wfit", |env| {
             Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
         });
@@ -332,18 +312,14 @@ fn main() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Act five — adaptive self-tuning.  Three tenants behind deliberately
-    // tiny ARC caches; tenant 0 is hot (4× the statements).  The working-set
-    // controller resizes each cache at drain-round boundaries from its own
-    // eviction/ghost-hit deltas, growth capped by a global budget, and the
-    // epoch planner cuts each round into weight-balanced segments that
-    // re-plan against the load each worker actually absorbed.
+    // Act five — epoch re-planning.  Three tenants; tenant 0 is hot (4× the
+    // statements).  The epoch planner cuts each round into weight-balanced
+    // segments that re-plan against the load each worker actually absorbed.
     println!();
-    println!("adaptive act: ARC caches + working-set controller + epochs…");
+    println!("epoch act: re-planning a skewed drain…");
     let mut adaptive = TuningService::with_workers(2)
         .with_batch_size(BATCH_SIZE)
-        .with_epoch_runs(2)
-        .with_cache_budget(512);
+        .with_epoch_runs(2);
     let mut skewed = Vec::new();
     for t in 0..3 {
         let bench = Benchmark::generate(BenchmarkSpec {
@@ -352,14 +328,7 @@ fn main() {
             phases: wfit::workload::default_phases(),
         });
         let Benchmark { db, statements, .. } = bench;
-        let tenant = adaptive.add_tenant_with(
-            format!("adaptive-{t}"),
-            Arc::new(db),
-            TenantOptions::default()
-                .with_cache_capacity(8) // far below the working set
-                .with_cache_policy(wfit::simdb::cache::CachePolicy::Arc)
-                .with_adaptive_cache(wfit::service::AdaptiveCacheConfig::default()),
-        );
+        let tenant = adaptive.add_tenant(format!("adaptive-{t}"), Arc::new(db));
         adaptive.add_session(tenant, "wfit", |env| {
             Box::new(Wfit::new(env, WfitConfig::default())) as Box<dyn IndexAdvisor + Send>
         });
@@ -368,9 +337,8 @@ fn main() {
         });
         skewed.push((tenant, statements));
     }
-    let initial_capacity = adaptive.cache_capacity_total();
-    // Replay in waves so the controller acts at several round boundaries;
-    // the hot tenant submits its stream four times per wave.
+    // Replay in waves so the planner acts in several rounds; the hot tenant
+    // submits its stream four times per wave.
     for wave in 0..4 {
         for (t, (tenant, statements)) in skewed.iter().enumerate() {
             let repeats = if t == 0 { 4 } else { 1 };
@@ -382,22 +350,7 @@ fn main() {
         }
         adaptive.poll();
     }
-    let cache = adaptive.aggregate_cache_stats();
     let sched = adaptive.sched_stats();
-    println!(
-        "  ARC ledger: {} requests, hit rate {:.3}, {} evictions, \
-         {} ghost resurrections, {} T1→T2 promotions",
-        cache.requests,
-        cache.hit_rate(),
-        cache.evictions,
-        cache.ghost_hits,
-        cache.policy_promotions,
-    );
-    println!(
-        "  working-set controller: capacity {} → {} entries (budget 512)",
-        initial_capacity,
-        adaptive.cache_capacity_total(),
-    );
     println!(
         "  epoch planner: {} epochs cut, {} re-plans over {} rounds, \
          load imbalance {:.3}",

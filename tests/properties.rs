@@ -319,169 +319,30 @@ mod ibg_properties {
     }
 }
 
-/// Properties of the bounded shared what-if cache and its statistics
-/// counters (the service hot path).
+/// Properties of the what-if statistics counters.
 mod cache_properties {
     use super::*;
-    use simdb::cache::{CacheConfig, CachePolicy, SharedWhatIfCache};
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
-    use simdb::optimizer::PlanCost;
-    use simdb::query::{build, PredicateKind};
-    use simdb::types::DataType;
     use simdb::whatif::WhatIfStats;
-
-    fn database() -> (Database, Vec<IndexId>) {
-        let mut b = CatalogBuilder::new();
-        b.table("t")
-            .rows(800_000.0)
-            .column("a", DataType::Integer, 150_000.0)
-            .column("b", DataType::Integer, 40_000.0)
-            .column("c", DataType::Integer, 512.0)
-            .finish();
-        let db = Database::new(b.build());
-        let t = db.catalog().table_by_name("t").unwrap();
-        let cols: Vec<simdb::ColumnId> = db.catalog().table(t).columns.clone();
-        let i1 = db.define_index_on(t, vec![cols[0]]);
-        let i2 = db.define_index_on(t, vec![cols[1]]);
-        let i3 = db.define_index_on(t, vec![cols[0], cols[1]]);
-        (db, vec![i1, i2, i3])
-    }
-
-    fn statement(db: &Database, sel_a: f64, sel_b: f64) -> simdb::query::Statement {
-        let t = db.catalog().table_by_name("t").unwrap();
-        let cols: Vec<simdb::ColumnId> = db.catalog().table(t).columns.clone();
-        build::select()
-            .table(t)
-            .predicate(t, cols[0], PredicateKind::Range, sel_a)
-            .predicate(t, cols[1], PredicateKind::Range, sel_b)
-            .output(cols[2])
-            .build()
-    }
-
-    fn config_of(idx: &[IndexId], mask: usize) -> IndexSet {
-        IndexSet::from_iter(
-            idx.iter()
-                .enumerate()
-                .filter(|(i, _)| mask & (1 << i) != 0)
-                .map(|(_, id)| *id),
-        )
-    }
-
-    fn synthetic_plan(fingerprint: u64, mask: usize) -> PlanCost {
-        PlanCost {
-            total: (fingerprint * 31 + mask as u64) as f64,
-            used_indexes: IndexSet::empty(),
-            description: String::new(),
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Satellite invariant: a bounded cache — CLOCK *or* ARC — never
-        /// holds more entries than its capacity, not at the end of a run
-        /// and not at any intermediate point, and its counters always
-        /// reconcile.
-        #[test]
-        fn bounded_cache_never_exceeds_capacity(
-            capacity in 1usize..48,
-            arc in 0usize..2,
-            fingerprints in proptest::collection::vec(0u64..24, 150),
-            masks in proptest::collection::vec(0usize..8, 150),
-        ) {
-            let policy = if arc == 1 { CachePolicy::Arc } else { CachePolicy::Clock };
-            let cache =
-                SharedWhatIfCache::with_config(CacheConfig::bounded(capacity).with_policy(policy));
-            let (_, idx) = database();
-            for (&f, &mask) in fingerprints.iter().zip(&masks) {
-                let got = cache.get_or_compute(f, &config_of(&idx, mask), || synthetic_plan(f, mask));
-                // Cached or freshly computed, the value is the pure function
-                // of the key.
-                prop_assert_eq!(got.total.to_bits(), synthetic_plan(f, mask).total.to_bits());
-                prop_assert!(
-                    cache.len() <= capacity,
-                    "{policy:?} len {} > capacity {capacity}",
-                    cache.len()
-                );
-            }
-            let stats = cache.stats();
-            prop_assert_eq!(stats.requests, 150);
-            prop_assert_eq!(stats.optimizer_calls + stats.cache_hits, stats.requests);
-            prop_assert!(stats.entries as usize <= capacity);
-            // Every eviction was preceded by an insert of the evicted entry,
-            // and the resident entries are exactly inserts minus evictions.
-            prop_assert!(stats.evictions <= stats.optimizer_calls);
-            prop_assert_eq!(stats.optimizer_calls - stats.evictions, stats.entries);
-            // Ghost hits are misses whose key was remembered; promotions are
-            // hits moved T1 → T2.  Both are ARC-only ledgers.
-            prop_assert!(stats.ghost_hits <= stats.optimizer_calls);
-            prop_assert!(stats.policy_promotions <= stats.cache_hits);
-            if policy == CachePolicy::Clock {
-                prop_assert_eq!(stats.ghost_hits, 0);
-                prop_assert_eq!(stats.policy_promotions, 0);
-            }
-        }
-
-        /// Satellite invariant: eviction followed by refill returns costs
-        /// bit-identical to the `whatif_cost_uncached` oracle — a bounded
-        /// cache, under either policy, can change *when* the optimizer
-        /// runs, never *what* it answers.
-        #[test]
-        fn evicted_entries_refill_to_identical_costs(
-            capacity in 1usize..10,
-            arc in 0usize..2,
-            sel_a in 1e-6f64..0.5,
-            sel_b in 1e-6f64..0.5,
-            stmt_picks in proptest::collection::vec(0usize..3, 90),
-            masks in proptest::collection::vec(0usize..8, 90),
-        ) {
-            let (db, idx) = database();
-            let stmts = [
-                statement(&db, sel_a, sel_b),
-                statement(&db, sel_a / 2.0, sel_b),
-                statement(&db, sel_a, sel_b / 3.0),
-            ];
-            let policy = if arc == 1 { CachePolicy::Arc } else { CachePolicy::Clock };
-            let cache =
-                SharedWhatIfCache::with_config(CacheConfig::bounded(capacity).with_policy(policy));
-            for (&pick, &mask) in stmt_picks.iter().zip(&masks) {
-                let stmt = &stmts[pick];
-                let config = config_of(&idx, mask);
-                let got = cache.get_or_compute(stmt.fingerprint, &config, || {
-                    db.whatif_cost_uncached(stmt, &config)
-                });
-                let oracle = db.whatif_cost_uncached(stmt, &config);
-                prop_assert_eq!(got.total.to_bits(), oracle.total.to_bits());
-                prop_assert_eq!(&got.used_indexes, &oracle.used_indexes);
-            }
-            // With a working set of up to 24 keys and capacity < 10, the run
-            // must actually have exercised the eviction path.
-            prop_assert!(cache.stats().evictions > 0 || cache.distinct_statements() * 8 <= capacity);
-        }
-
-        /// Satellite invariant: `WhatIfStats::merge` is associative and
-        /// commutative with `default()` as identity, so aggregating shard or
-        /// tenant snapshots can never depend on order.
+        /// `WhatIfStats::merge` is associative and commutative with
+        /// `default()` as identity, so aggregating tenant snapshots can never
+        /// depend on order.
         #[test]
         fn whatif_stats_merge_is_associative_and_commutative(
             requests in proptest::collection::vec(0u64..10_000, 6),
             optimizer_calls in proptest::collection::vec(0u64..10_000, 6),
             cache_hits in proptest::collection::vec(0u64..10_000, 6),
-            evictions in proptest::collection::vec(0u64..10_000, 6),
             entries in proptest::collection::vec(0u64..10_000, 6),
-            ghost_hits in proptest::collection::vec(0u64..10_000, 6),
-            policy_promotions in proptest::collection::vec(0u64..10_000, 6),
         ) {
             let shards: Vec<WhatIfStats> = (0..6)
                 .map(|i| WhatIfStats {
                     requests: requests[i],
                     optimizer_calls: optimizer_calls[i],
                     cache_hits: cache_hits[i],
-                    evictions: evictions[i],
                     entries: entries[i],
-                    ghost_hits: ghost_hits[i],
-                    policy_promotions: policy_promotions[i],
                 })
                 .collect();
             for a in &shards {
@@ -1009,98 +870,6 @@ mod epoch_plan_properties {
                 prop_assert_eq!(plan.epochs(), plan.segments.len() as u64);
                 prop_assert_eq!(plan.replans(), plan.epochs().saturating_sub(1));
             }
-        }
-    }
-}
-
-/// Properties of the working-set capacity controller at service level: the
-/// whole adaptive control loop — ARC ledgers in, resize decisions out — is
-/// a pure function of the submitted event sequence.
-mod adaptive_controller_properties {
-    use super::*;
-    use simdb::cache::CachePolicy;
-    use simdb::catalog::CatalogBuilder;
-    use simdb::database::Database;
-    use simdb::types::DataType;
-    use std::sync::Arc;
-    use wfit::core::{Wfit, WfitConfig};
-    use wfit::service::{AdaptiveCacheConfig, Event, TenantOptions, TuningService};
-
-    fn db() -> Arc<Database> {
-        let mut b = CatalogBuilder::new();
-        b.table("t")
-            .rows(1_000_000.0)
-            .column("a", DataType::Integer, 100_000.0)
-            .column("b", DataType::Integer, 1_000.0)
-            .finish();
-        Arc::new(Database::new(b.build()))
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(6))]
-
-        /// Satellite invariant: replaying the same event sequence through
-        /// an ARC-adaptive service twice yields the bit-identical capacity
-        /// trajectory and cache-counter ledger at every drain-round
-        /// boundary.
-        #[test]
-        fn adaptive_controller_replays_bit_identical(
-            capacity in 1usize..12,
-            budget in 0usize..192,
-            picks in proptest::collection::vec(0usize..8, 36),
-        ) {
-            let run = || {
-                let mut svc = TuningService::with_workers(2).with_cache_budget(budget);
-                let mut tenants = Vec::new();
-                for t in 0..2 {
-                    let handle = db();
-                    let id = svc.add_tenant_with(
-                        format!("tenant-{t}"),
-                        handle.clone(),
-                        TenantOptions::default()
-                            .with_cache_capacity(capacity)
-                            .with_cache_policy(CachePolicy::Arc)
-                            .with_adaptive_cache(AdaptiveCacheConfig {
-                                min_capacity: 1,
-                                max_capacity: 4096,
-                            }),
-                    );
-                    svc.add_session(id, "wfit", |env| {
-                        Box::new(Wfit::new(env, WfitConfig::default()))
-                    });
-                    tenants.push((id, handle));
-                }
-                let mut trace: Vec<u64> = Vec::new();
-                // Drain in waves so the controller acts at several round
-                // boundaries mid-stream, not just once at the end.
-                for wave in picks.chunks(6) {
-                    for &p in wave {
-                        let (id, handle) = &tenants[p % 2];
-                        let q = Arc::new(
-                            handle
-                                .parse(&format!("SELECT b FROM t WHERE a = {}", p + 1))
-                                .unwrap(),
-                        );
-                        svc.submit(Event::query(*id, q));
-                    }
-                    svc.process_pending();
-                    trace.push(svc.cache_capacity_total() as u64);
-                    for (id, _) in &tenants {
-                        let stats = svc.cache_stats(*id);
-                        trace.extend([
-                            stats.requests,
-                            stats.cache_hits,
-                            stats.evictions,
-                            stats.ghost_hits,
-                            stats.policy_promotions,
-                            stats.entries,
-                        ]);
-                    }
-                }
-                trace
-            };
-            let first = run();
-            prop_assert_eq!(&first, &run());
         }
     }
 }

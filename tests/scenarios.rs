@@ -275,12 +275,10 @@ fn service_mini_matches_golden() {
     assert_eq!(service.sessions, 9);
     assert_eq!(service.query_events as usize, report.statements);
     assert!(service.vote_events > 0, "scheduled votes must be delivered");
-    // The acceptance bar for the shared what-if cache: most requests of the
-    // multi-tenant scenario are answered without running the optimizer.
-    assert!(
-        service.cache_hit_rate > 0.5,
-        "shared cache hit rate {} must exceed 0.5",
-        service.cache_hit_rate
+    // The service-level what-if total is exactly the sessions' sum.
+    assert_eq!(
+        service.cache_requests,
+        report.cells.iter().map(|c| c.whatif_calls).sum::<u64>()
     );
     for cell in &report.cells {
         // Each tenant's OPT lower-bounds its sessions.
@@ -303,30 +301,17 @@ fn service_evict_mini_matches_golden() {
     let spec = scenarios::service_evict_mini();
     let report = check_report_against_golden(&spec.name.clone(), run_service_scenario(&spec));
     let service = report.service.as_ref().expect("service summary present");
-    // The scenario's whole point: the capacity is below the working set, so
-    // the CLOCK sweep must evict continuously while occupancy stays bounded.
-    assert!(
-        service.cache_evictions > 0,
-        "capacity {} must force evictions",
-        scenarios::EVICT_MINI_CACHE_CAPACITY
-    );
-    assert!(
-        service.cache_entries as usize <= 3 * scenarios::EVICT_MINI_CACHE_CAPACITY,
-        "3 tenants × {} capacity bounds occupancy, got {}",
-        scenarios::EVICT_MINI_CACHE_CAPACITY,
-        service.cache_entries
-    );
     assert!(
         service.ibg_reuses > 0,
         "fleet sessions must reuse each other's IBGs"
     );
-    assert!(service.cache_hit_rate > 0.0 && service.cache_hit_rate < 1.0);
 
-    // Bounding the cache, batching the drain and sharing IBGs may only
-    // change overhead counters: every cost-derived metric must be
-    // bit-identical to the unbounded `service-mini` run of the same
-    // workload.
+    // Batching the drain and sharing IBGs may only change overhead
+    // counters: every cost-derived metric must be bit-identical to the
+    // plain `service-mini` run of the same workload, and reused graphs
+    // save what-if requests.
     let unbounded = run_service_scenario(&scenarios::service_mini());
+    assert!(service.cache_requests < unbounded.service.as_ref().unwrap().cache_requests);
     assert_eq!(unbounded.cells.len(), report.cells.len());
     for (u, b) in unbounded.cells.iter().zip(&report.cells) {
         assert_eq!(u.label, b.label);
@@ -339,9 +324,8 @@ fn service_evict_mini_matches_golden() {
         assert_eq!(u.ratio_series, b.ratio_series, "{}", u.label);
         assert_eq!(u.transitions, b.transitions, "{}", u.label);
     }
-    assert_eq!(unbounded.service.as_ref().unwrap().cache_evictions, 0);
 
-    // Determinism: a rerun (parallel workers, eviction, batching and all)
+    // Determinism: a rerun (parallel workers, batching and all)
     // renders byte-identical deterministic JSON.
     let rerun = run_service_scenario(&scenarios::service_evict_mini());
     assert_eq!(report.to_json(), rerun.to_json());
@@ -374,9 +358,13 @@ fn service_skew_mini_matches_golden() {
         spec.statements_for_tenant(0) + spec.statements_for_tenant(0) / spec.feedback_every,
         "hot tenant queue depth = statements + scheduled votes"
     );
-    // The uncached control arm keeps every overhead counter at zero — which
-    // is what makes the full summary golden-safe under concurrent steals.
-    assert_eq!(service.cache_requests, 0);
+    // Without an IBG store every session issues its own deterministic
+    // what-if stream — which is what makes the full summary golden-safe
+    // under concurrent steals.
+    assert_eq!(
+        service.cache_requests,
+        report.cells.iter().map(|c| c.whatif_calls).sum::<u64>()
+    );
     assert_eq!(service.ibg_builds + service.ibg_reuses, 0);
 
     // Determinism under stealing: a rerun renders byte-identical JSON.
@@ -456,9 +444,7 @@ fn service_adversarial_skew_matches_golden() {
     let service = report.service.as_ref().expect("service summary present");
 
     // The pinned self-tuning activity: epoch boundaries were cut and acted
-    // on, the ARC ghost lists resurrected evicted entries, and the
-    // working-set controller grew the thrashing caches — but never past
-    // the global budget.
+    // on.
     assert!(
         service.replans > 0,
         "epoch mode must re-plan mid-round: {service:?}"
@@ -467,20 +453,10 @@ fn service_adversarial_skew_matches_golden() {
         service.epochs > service.replans,
         "replans = epochs - rounds"
     );
-    assert!(
-        service.ghost_hits > 0,
-        "the scan bursts must produce ghost resurrections"
-    );
-    let floor = (spec.tenants * scenarios::ADVERSARIAL_CACHE_CAPACITY) as u64;
-    assert!(
-        service.capacity_final > floor,
-        "thrash must grow the caches past the initial {floor}: {service:?}"
-    );
-    assert!(service.capacity_final <= scenarios::ADVERSARIAL_CACHE_BUDGET as u64);
 
     // The static control arm replays the identical workload: every advisor
-    // cost cell must be bit-equal — the adaptive stack moves overhead
-    // metrics only, never a recommendation or a cost.
+    // cost cell must be bit-equal — re-planning moves scheduler metrics
+    // only, never a recommendation or a cost.
     let control = run_service_scenario(&scenarios::service_adversarial_skew_control());
     assert_eq!(control.cells.len(), report.cells.len());
     for (a, c) in report.cells.iter().zip(&control.cells) {
@@ -488,7 +464,7 @@ fn service_adversarial_skew_matches_golden() {
         assert_eq!(
             a.total_work.to_bits(),
             c.total_work.to_bits(),
-            "{}: adaptation must be invisible to the tuning sessions",
+            "{}: re-planning must be invisible to the tuning sessions",
             a.label
         );
         assert_eq!(a.ratio_series, c.ratio_series, "{}", a.label);
@@ -501,18 +477,10 @@ fn service_adversarial_skew_matches_golden() {
         0,
         "the control arm never re-plans"
     );
-    assert_eq!(control_svc.ghost_hits, 0, "CLOCK keeps no ghosts");
-    assert_eq!(control_svc.capacity_final, floor, "static capacities stay");
 
     // The measured claim of the scenario: under the hot flip and the scan
-    // bursts, the adaptive arm strictly improves both the shared-cache hit
-    // rate and the worst-round load imbalance over the static arm.
-    assert!(
-        service.cache_hit_rate > control_svc.cache_hit_rate,
-        "adaptive hit rate {} must strictly beat static {}",
-        service.cache_hit_rate,
-        control_svc.cache_hit_rate
-    );
+    // bursts, epoch re-planning strictly improves the worst-round load
+    // imbalance over the static arm.
     assert!(
         service.load_imbalance < control_svc.load_imbalance,
         "epoch re-planning must strictly flatten the worst round: {} vs {}",
@@ -520,7 +488,7 @@ fn service_adversarial_skew_matches_golden() {
         control_svc.load_imbalance
     );
 
-    // Determinism: the whole control loop replays byte-identically.
+    // Determinism: the re-planned schedule replays byte-identically.
     let rerun = run_service_scenario(&spec);
     assert_eq!(report.to_json(), rerun.to_json());
 }
@@ -541,7 +509,7 @@ fn service_restore_mini_matches_golden() {
     // past a snapshot, with a logged-but-unsnapshotted WAL tail behind it —
     // restore a freshly assembled host from disk, and finish the workload.
     // The recovered run must render the *byte-identical* deterministic
-    // report: every cost cell, every cache counter, the WAL-round total.
+    // report: every cost cell, every what-if counter, the WAL-round total.
     let crashed = run_service_scenario(
         &scenarios::service_restore_mini().with_crash_at(scenarios::RESTORE_MINI_CRASH_WAVE),
     );
@@ -603,11 +571,10 @@ fn stealing_and_worker_count_never_change_cost_cells() {
         }
     };
 
-    // service-mini (unbounded shared cache, no IBG store): with stealing
-    // disabled the golden run is reproduced whatever the worker count; with
-    // stealing enabled cost cells and per-session what-if counts still
-    // match (each session issues its deterministic request stream; only the
-    // cache's hit/miss split is timing-dependent).
+    // service-mini (no IBG store): with stealing disabled the golden run is
+    // reproduced whatever the worker count; with stealing enabled cost
+    // cells and per-session what-if counts still match (each session issues
+    // its deterministic request stream).
     let golden = run_service_scenario(&scenarios::service_mini());
     let single = run_service_scenario(&scenarios::service_mini().with_workers(1));
     assert_eq!(
@@ -624,10 +591,10 @@ fn stealing_and_worker_count_never_change_cost_cells() {
     assert_eq!(golden_svc.stolen_runs, 0);
     assert_eq!(
         golden_svc.cache_requests, stolen_svc.cache_requests,
-        "total cache traffic is deterministic; only the hit/miss split races"
+        "total what-if traffic is deterministic under stealing"
     );
 
-    // service-evict-mini (bounded cache + IBG store + batching): cost cells
+    // service-evict-mini (IBG store + batching): cost cells
     // are still bit-identical under stealing; what-if counts are not
     // asserted (which session wins an IBG build race is timing-dependent).
     let evict = run_service_scenario(&scenarios::service_evict_mini());
@@ -642,8 +609,8 @@ fn stealing_and_worker_count_never_change_cost_cells() {
 #[test]
 fn service_replay_is_deterministic_for_identical_seeds() {
     // Byte-identical deterministic JSON across two full service replays —
-    // including the parallel per-tenant workers and the shared-cache
-    // hit/miss counters in the service summary.
+    // including the parallel per-tenant workers and the what-if counters
+    // in the service summary.
     let a = run_service_scenario(&scenarios::service_mini());
     let b = run_service_scenario(&scenarios::service_mini());
     assert_eq!(a.to_json(), b.to_json());
@@ -655,37 +622,31 @@ fn service_replay_is_deterministic_for_identical_seeds() {
     assert_ne!(a.to_json(), c.to_json());
 }
 
-/// PR 2 established that the harness never reads `WFIT_PHASE_LEN` (the phase
-/// length is an explicit `ScenarioSpec` field); this grep-guard keeps the
-/// invariant from regressing, for the service crate as well.  Reading *any*
-/// environment variable from library code under `crates/harness` or
-/// `crates/service` is a violation — env access belongs to the bench and
-/// test entry points.  The hot-path knobs added with the bounded cache
-/// (`WFIT_CACHE_CAP`, `WFIT_BATCH`, `WFIT_IBG_REUSE`, `WFIT_TENANTS`) are
-/// held to the same rule: they may appear only in bench `main`s, never in
-/// library code, where the equivalent setting is an explicit spec field
-/// (`ServiceScenarioSpec::{cache_capacity, batch_size, ibg_reuse, tenants,
-/// workers, steal, skew}`).  The overload knobs (`WFIT_DEPTH`,
-/// `WFIT_OFFERED`, soak scaling via `WFIT_SOAK`) follow suit: library code
-/// takes `ServiceScenarioSpec::{per_tenant_depth, global_depth,
-/// offered_multiplier}` / `service::IngressConfig`, and only the bench and
-/// soak-test entry points read the environment.  The durability knob
-/// (`WFIT_PERSIST`) is the same story: library code takes
-/// `ServiceScenarioSpec::{persist, crash_at}`, only the service-throughput
-/// bench `main` reads the variable.  The bandit knob (`WFIT_BANDIT`)
-/// follows suit: library code takes `ServiceScenarioSpec::with_bandit` /
-/// `AdvisorSpec::Bandit`, only the bench `main` reads the variable.  The
-/// adaptive knobs (`WFIT_POLICY`, `WFIT_ADAPT`, `WFIT_EPOCH`) close the
-/// list: library code takes `ServiceScenarioSpec::{cache_policy,
-/// adaptive_cache, cache_budget, epoch_runs}`.  The guard is two-sided:
-/// library sources must mention *no* knob, and the bench entry points must
-/// mention *exactly* the canonical sixteen — a knob that is documented but
-/// never read, or read but missing from this list, fails the set equality.
+/// The harness never reads `WFIT_PHASE_LEN` (the phase length is an
+/// explicit `ScenarioSpec` field); this grep-guard keeps the invariant from
+/// regressing, for the service crate as well.  Reading *any* environment
+/// variable from library code under `crates/harness` or `crates/service` is
+/// a violation — env access belongs to the bench and test entry points.
+/// Every service knob is held to the same rule: it may appear only in bench
+/// `main`s (and, for soak scaling via `WFIT_SOAK`, the soak test), never in
+/// library code, where the equivalent setting is an explicit spec field —
+/// `ServiceScenarioSpec::{batch_size, ibg_reuse, tenants, workers, steal,
+/// skew}` for the hot-path knobs (`WFIT_BATCH`, `WFIT_IBG_REUSE`,
+/// `WFIT_TENANTS`, `WFIT_WORKERS`, `WFIT_STEAL`, `WFIT_SKEW`),
+/// `ServiceScenarioSpec::{per_tenant_depth, global_depth,
+/// offered_multiplier}` / `service::IngressConfig` for the overload knobs
+/// (`WFIT_DEPTH`, `WFIT_OFFERED`), `ServiceScenarioSpec::{persist,
+/// crash_at}` for durability (`WFIT_PERSIST`),
+/// `ServiceScenarioSpec::with_bandit` / `AdvisorSpec::Bandit` for the
+/// bandit arm (`WFIT_BANDIT`) and `ServiceScenarioSpec::epoch_runs` for
+/// epoch re-planning (`WFIT_EPOCH`).  The guard is two-sided: library
+/// sources must mention *no* knob, and the bench entry points must mention
+/// *exactly* the canonical thirteen — a knob that is documented but never
+/// read, or read but missing from this list, fails the set equality.
 #[test]
 fn harness_and_service_never_read_env_vars() {
-    const KNOB_NAMES: [&str; 16] = [
+    const KNOB_NAMES: [&str; 13] = [
         "WFIT_PHASE_LEN",
-        "WFIT_CACHE_CAP",
         "WFIT_BATCH",
         "WFIT_IBG_REUSE",
         "WFIT_TENANTS",
@@ -697,11 +658,9 @@ fn harness_and_service_never_read_env_vars() {
         "WFIT_SOAK",
         "WFIT_PERSIST",
         "WFIT_BANDIT",
-        "WFIT_POLICY",
-        "WFIT_ADAPT",
         "WFIT_EPOCH",
     ];
-    assert_eq!(KNOB_NAMES.len(), 16, "the canonical knob list");
+    assert_eq!(KNOB_NAMES.len(), 13, "the canonical knob list");
 
     /// Every `.rs` file under `dir`, recursively.
     fn rust_sources(dir: PathBuf) -> Vec<PathBuf> {
